@@ -265,7 +265,7 @@ func BenchmarkLazyDiscover6D(b *testing.B) {
 				for d := range mid {
 					mid[d] = g.Res / 2
 				}
-				if _, err := c.NewRun().Discover(core.SpillBound, int32(g.Linear(mid))); err != nil {
+				if _, err := c.NewRun().DiscoverStrategy(core.SpillBound, int32(g.Linear(mid))); err != nil {
 					b.Fatal(err)
 				}
 				p := ls.Profile()
@@ -305,11 +305,14 @@ func BenchmarkDiscoverSpillBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	c, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	qa := int32(space.Grid.Linear([]int{8, 6}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Discover(core.SpillBound, qa); err != nil {
+		if _, err := c.NewRun().DiscoverStrategy(core.SpillBound, qa); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,14 +327,17 @@ func BenchmarkDiscoverAlignedBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	c, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	qa := int32(space.Grid.Linear([]int{8, 6}))
-	if _, err := sess.Discover(core.AlignedBound, qa); err != nil {
+	if _, err := c.NewRun().DiscoverStrategy(core.AlignedBound, qa); err != nil {
 		b.Fatal(err) // prime the planner cache
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Discover(core.AlignedBound, qa); err != nil {
+		if _, err := c.NewRun().DiscoverStrategy(core.AlignedBound, qa); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,10 +352,13 @@ func BenchmarkMSOSweepSpillBound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	c, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sess.MSO(core.SpillBound, mso.Options{})
+		res, err := c.MSO(core.SpillBound, mso.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func run(args []string) error {
 	stride := fs.Int("stride", 3, "5D/6D MSO sweep stride (also the mso command's stride)")
 	lambda := fs.Float64("lambda", 0.2, "PlanBouquet anorexic reduction threshold")
 	queryName := fs.String("query", "4D_Q91", "query for the discover command")
-	alg := fs.String("alg", "spillbound", "algorithm for discover: planbouquet|spillbound|alignedbound")
+	alg := fs.String("alg", "spillbound", "strategy for discover/mso/throughput: any registered name ("+strings.Join(core.Strategies(), "|")+")")
 	strategies := fs.String("strategies", "", "comma-separated strategy names for bakeoff (empty = all registered)")
 	experimentsFile := fs.String("experiments-file", "", "markdown file whose bakeoff section is rewritten (empty = stdout only)")
 	qaFlag := fs.String("qa", "", "true selectivities for discover, comma-separated (e.g. 0.04,0.1)")
@@ -322,6 +322,16 @@ func memSummary() {
 		float64(v(0))/(1<<20), v(1), float64(v(2))/(1<<20))
 }
 
+// policy resolves the -alg flag to its strategy-registry name.
+func policy(alg string) (string, error) {
+	st, ok := core.StrategyByName(alg)
+	if !ok {
+		return "", fmt.Errorf("unknown -alg %q (registered: %s)",
+			alg, strings.Join(core.StrategyNamesSorted(), ", "))
+	}
+	return st.Name(), nil
+}
+
 // deadlineCtx builds the invocation-bounding context for -deadline
 // (nil when unbounded).
 func deadlineCtx(deadline time.Duration) (context.Context, context.CancelFunc) {
@@ -334,6 +344,10 @@ func deadlineCtx(deadline time.Duration) (context.Context, context.CancelFunc) {
 // msoSweep runs a full MSO/ASO sweep for one query and reports the
 // guarantee alongside the empirical result.
 func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, deadline time.Duration) error {
+	algName, err := policy(algName)
+	if err != nil {
+		return err
+	}
 	spec, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -353,7 +367,7 @@ func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, dea
 		if ctx != nil {
 			r.WithContext(ctx)
 		}
-		return r.Discover(core.Algorithm(algName), qa)
+		return r.DiscoverStrategy(algName, qa)
 	}, mso.Options{Stride: stride})
 	if aerr := discovery.AbortCause(err); aerr != nil {
 		return fmt.Errorf("sweep aborted by -deadline %v: %w", deadline, aerr.Err)
@@ -361,7 +375,7 @@ func msoSweep(name, algName string, scale float64, cfg sweepCfg, stride int, dea
 	if err != nil {
 		return err
 	}
-	g, _ := c.Guarantee(core.Algorithm(algName))
+	g, _ := c.StrategyGuarantee(algName)
 	sel := src.Geometry().Sel(int(res.ArgMax), nil)
 	fmt.Printf("%s via %s: MSOe %.4f (guarantee %.1f), ASO %.4f over %d locations, worst at %v\n",
 		name, algName, res.MSO, g, res.ASO, len(res.Points), sel)
@@ -480,6 +494,10 @@ func parseQA(g *ess.Grid, qaFlag string) ([]int, error) {
 func throughput(name, algName string, scale float64, cfg sweepCfg, parallelFlag string,
 	runs int, execLatency time.Duration, chaosSeed uint64, chaosRate float64,
 	deadline time.Duration) error {
+	algName, err := policy(algName)
+	if err != nil {
+		return err
+	}
 	spec, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -511,7 +529,7 @@ func throughput(name, algName string, scale float64, cfg sweepCfg, parallelFlag 
 	var base float64
 	for _, p := range levels {
 		res, err := experiments.Throughput(compiled, experiments.ThroughputOptions{
-			Algorithm: core.Algorithm(algName), Parallel: p, Runs: runs,
+			Strategy: algName, Parallel: p, Runs: runs,
 			ExecLatency: execLatency, Faults: faults, Context: ctx,
 		})
 		if err != nil {
@@ -603,6 +621,10 @@ func herd(name string, size int, scale float64, res int, chaosSeed uint64, chaos
 // seed's deterministic schedule, and the degradation/retry summary is
 // printed after the trace.
 func discover(name, algName, qaFlag string, scale float64, cfg sweepCfg, chaosSeed uint64, chaosRate float64, deadline time.Duration) error {
+	algName, err := policy(algName)
+	if err != nil {
+		return err
+	}
 	spec, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -632,7 +654,7 @@ func discover(name, algName, qaFlag string, scale float64, cfg sweepCfg, chaosSe
 	if ctx != nil {
 		r.WithContext(ctx)
 	}
-	out, err := r.Discover(core.Algorithm(algName), qa)
+	out, err := r.DiscoverStrategy(algName, qa)
 	aborted := discovery.AbortCause(err)
 	if err != nil && aborted == nil {
 		return err
@@ -654,7 +676,7 @@ func discover(name, algName, qaFlag string, scale float64, cfg sweepCfg, chaosSe
 		fmt.Printf("  %2d. IC%-2d %s P%-3d dim=%-2d budget=%.4g cost=%.4g %s\n",
 			i+1, st.Contour, mode, st.PlanID, st.Dim, st.Budget, st.Cost, status)
 	}
-	guar, _ := c.Guarantee(core.Algorithm(algName))
+	guar, _ := c.StrategyGuarantee(algName)
 	opt := src.CostAt(qa)
 	fmt.Printf("total cost %.4g, optimal %.4g, sub-optimality %.2f (guarantee %.1f)\n",
 		out.TotalCost, opt, out.SubOpt(opt), guar)

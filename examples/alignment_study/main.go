@@ -22,10 +22,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess := core.NewSession(space)
+	c, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Per-contour alignment profile (Table 2's raw data).
-	prof := sess.Planner().Profile()
+	prof := c.Planner().Profile()
 	fmt.Printf("%s: contour alignment profile\n", spec.Name)
 	for _, ca := range prof {
 		status := fmt.Sprintf("induced at Δ=%.2f", ca.MinPenalty)
@@ -45,13 +48,16 @@ func main() {
 	// alignment, on the other hand, can retry with penalty-inflated
 	// budgets, so AB is not uniformly cheaper than SB per discovery.
 	fmt.Println("\nexecutions per discovery (SB vs AB) along the grid diagonal:")
+	// One run drives every discovery in turn, so its penalty ledger
+	// collects π* across the whole diagonal.
+	run := c.NewRun()
 	for k := 0; k < space.Grid.Res; k += 2 {
 		qa := int32(space.Grid.Linear([]int{k, k, k}))
-		sb, err := sess.Discover(core.SpillBound, qa)
+		sb, err := run.DiscoverStrategy(core.SpillBound, qa)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ab, err := sess.Discover(core.AlignedBound, qa)
+		ab, err := run.DiscoverStrategy(core.AlignedBound, qa)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,5 +65,5 @@ func main() {
 		fmt.Printf("  sel=%.1e  SB: %2d execs (sub-opt %5.2f)   AB: %2d execs (sub-opt %5.2f)\n",
 			space.Grid.Vals[k], len(sb.Steps), sb.SubOpt(opt), len(ab.Steps), ab.SubOpt(opt))
 	}
-	fmt.Printf("\nmax partition penalty π* observed: %.2f (Table 4's metric)\n", sess.MaxPenalty())
+	fmt.Printf("\nmax partition penalty π* observed: %.2f (Table 4's metric)\n", run.MaxPenalty())
 }

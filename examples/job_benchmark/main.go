@@ -25,13 +25,16 @@ func main() {
 	fmt.Printf("ESS: %d locations, %d POSP plans, %d contours\n\n",
 		space.Grid.NumPoints(), space.NumPlans(), len(space.Contours))
 
-	sess := core.NewSession(space)
-	native := sess.NativeWorstCaseMSO(mso.Options{})
-	sb, err := sess.MSO(core.SpillBound, mso.Options{})
+	c, err := core.Compile(space, core.CompileOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ab, err := sess.MSO(core.AlignedBound, mso.Options{})
+	native := c.NativeWorstCaseMSO(mso.Options{})
+	sb, err := c.MSO(core.SpillBound, mso.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ab, err := c.MSO(core.AlignedBound, mso.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,22 +26,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess := core.NewSession(space)
-		pbG, _ := sess.Guarantee(core.PlanBouquet)
-		sbG, _ := sess.Guarantee(core.SpillBound)
-		pb, err := sess.MSO(core.PlanBouquet, mso.Options{})
+		c, err := core.Compile(space, core.CompileOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sb, err := sess.MSO(core.SpillBound, mso.Options{})
+		pbG, _ := c.StrategyGuarantee(core.PlanBouquet)
+		sbG, _ := c.StrategyGuarantee(core.SpillBound)
+		pb, err := c.MSO(core.PlanBouquet, mso.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ab, err := sess.MSO(core.AlignedBound, mso.Options{})
+		sb, err := c.MSO(core.SpillBound, mso.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		native := sess.NativeWorstCaseMSO(mso.Options{})
+		ab, err := c.MSO(core.AlignedBound, mso.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		native := c.NativeWorstCaseMSO(mso.Options{})
 		fmt.Printf("%-8s %3d | %8.1f %8.1f | %8.2f %8.2f %8.2f | %10.1f\n",
 			name, spec.D, pbG, sbG, pb.MSO, sb.MSO, ab.MSO, native.MSO)
 	}

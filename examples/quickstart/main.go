@@ -45,7 +45,7 @@ func main() {
 	}
 
 	// 5. Run SpillBound: selectivities are discovered, not estimated.
-	out, err := compiled.NewRun().Discover(core.SpillBound, qa)
+	out, err := compiled.NewRun().DiscoverStrategy(core.SpillBound, qa)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 
 	// 6. The whole point: bounded sub-optimality, known upfront from D.
 	opt := space.PointCost[qa]
-	g, _ := compiled.Guarantee(core.SpillBound)
+	g, _ := compiled.StrategyGuarantee(core.SpillBound)
 	fmt.Printf("\ntotal cost %.4g vs optimal %.4g → sub-optimality %.2f (guarantee D²+3D = %.0f)\n",
 		out.TotalCost, opt, out.SubOpt(opt), g)
 }

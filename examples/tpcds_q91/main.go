@@ -30,10 +30,13 @@ func main() {
 	fmt.Printf("2D_Q91: qa = (%.3g, %.3g), optimal cost %.4g\n\n",
 		space.Grid.Vals[xi], space.Grid.Vals[yi], space.PointCost[qa])
 
-	sess := core.NewSession(space)
+	c, err := core.Compile(space, core.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The Fig. 7 trace, with the running location after every step.
-	out, err := sess.Discover(core.SpillBound, qa)
+	out, err := c.NewRun().DiscoverStrategy(core.SpillBound, qa)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,12 +53,12 @@ func main() {
 
 	// All approaches at this location.
 	fmt.Println("approach comparison at qa:")
-	for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
-		o, err := sess.Discover(alg, qa)
+	for _, alg := range []string{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
+		o, err := c.NewRun().DiscoverStrategy(alg, qa)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, _ := sess.Guarantee(alg)
+		g, _ := c.StrategyGuarantee(alg)
 		fmt.Printf("  %-12s sub-opt %5.2f (guarantee %5.1f, %d executions)\n",
 			alg, o.SubOpt(space.PointCost[qa]), g, len(o.Steps))
 	}

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/core/alignedbound"
-	"repro/internal/core/bouquet"
 	"repro/internal/core/discovery"
-	"repro/internal/core/spillbound"
 	"repro/internal/ess"
 	"repro/internal/mso"
 )
@@ -17,7 +14,7 @@ import (
 // CompileOptions parameterizes Compile.
 type CompileOptions struct {
 	// Lambda is the anorexic-reduction threshold; 0 means DefaultLambda.
-	// (Use Session.SetLambda for an explicit λ = 0 reduction.)
+	// (For an explicit λ = 0 reduction call ess.ReduceSource directly.)
 	Lambda float64
 	// PrimeAlignment additionally precomputes the alignment planner's
 	// root-slice decisions, so concurrent AlignedBound runs start from a
@@ -39,10 +36,9 @@ type CompileOptions struct {
 // overlay behind an atomic pointer and bumps its Epoch, which the
 // planner keys its decision cache by.
 type Compiled struct {
-	// Space is the underlying eager search space; nil when the artifact
-	// was compiled over a demand-driven source (use Source).
-	Space *ess.Space
-	// Source is the contour provider every run consumes.
+	// Source is the contour provider every run consumes: an *ess.Space
+	// when compiled eagerly, an *ess.LazySpace (or any other provider)
+	// otherwise.
 	Source ess.ContourSource
 	// Lambda is the anorexic-reduction threshold the artifact was
 	// compiled with.
@@ -57,14 +53,10 @@ type Compiled struct {
 	preps sync.Map
 }
 
-// Compile eagerly builds the compile-time artifact for the space.
+// Compile builds the compile-time artifact over an eagerly built
+// search space.
 func Compile(space *ess.Space, opts CompileOptions) (*Compiled, error) {
-	c, err := CompileSource(space, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Space = space
-	return c, nil
+	return CompileSource(space, opts)
 }
 
 // CompileSource builds the compile-time artifact over any contour
@@ -75,45 +67,14 @@ func CompileSource(src ess.ContourSource, opts CompileOptions) (*Compiled, error
 	if lambda == 0 {
 		lambda = DefaultLambda
 	}
-	c, err := newCompiled(src, lambda)
-	if err != nil {
-		return nil, err
+	if lambda < 0 || math.IsNaN(lambda) {
+		return nil, fmt.Errorf("core: invalid anorexic reduction threshold λ=%v", lambda)
 	}
+	c := &Compiled{Source: src, Lambda: lambda, planner: alignedbound.NewPlanner(src)}
 	if opts.PrimeAlignment {
 		c.planner.Prime()
 	}
 	return c, nil
-}
-
-// errSetLambdaAfterCompile reports the Session misuse that used to
-// panic: rethresholding after the reduction was built.
-var errSetLambdaAfterCompile = errors.New("core: SetLambda after the reduction was built")
-
-// validateLambda rejects thresholds the reduction cannot honor.
-func validateLambda(lambda float64) (float64, error) {
-	if lambda < 0 || math.IsNaN(lambda) {
-		return 0, fmt.Errorf("core: invalid anorexic reduction threshold λ=%v", lambda)
-	}
-	return lambda, nil
-}
-
-func newCompiled(src ess.ContourSource, lambda float64) (*Compiled, error) {
-	if _, err := validateLambda(lambda); err != nil {
-		return nil, err
-	}
-	if s, ok := src.(*ess.Space); ok {
-		return &Compiled{
-			Space:   s,
-			Source:  src,
-			Lambda:  lambda,
-			planner: alignedbound.NewPlanner(src),
-		}, nil
-	}
-	return &Compiled{
-		Source:  src,
-		Lambda:  lambda,
-		planner: alignedbound.NewPlanner(src),
-	}, nil
 }
 
 // Reduction returns the compiled anorexic reduction, building it on
@@ -129,30 +90,12 @@ func (c *Compiled) Reduction() *ess.Reduction {
 // fills on demand and is shared by every run over this artifact.
 func (c *Compiled) Planner() *alignedbound.Planner { return c.planner }
 
-// Guarantee returns the MSO guarantee of the algorithm on this query:
-// the a-priori bound the paper proves. For AlignedBound the upper end
-// of its range is returned (use alignedbound.GuaranteeRange for both).
-func (c *Compiled) Guarantee(alg Algorithm) (float64, error) {
-	d := c.Source.Geometry().D
-	switch alg {
-	case PlanBouquet:
-		return bouquet.Guarantee(c.Reduction()), nil
-	case SpillBound:
-		return spillbound.Guarantee(d), nil
-	case AlignedBound:
-		_, hi := alignedbound.GuaranteeRange(d)
-		return hi, nil
-	default:
-		return 0, fmt.Errorf("core: unknown algorithm %q", alg)
-	}
-}
-
-// MSO exhaustively (or strided) evaluates the algorithm's empirical MSO
-// and ASO over the grid, one fresh Run per location, all sharing this
-// artifact.
-func (c *Compiled) MSO(alg Algorithm, opts mso.Options) (*mso.Result, error) {
+// MSO exhaustively (or strided) evaluates the named strategy's
+// empirical MSO and ASO over the grid, one fresh Run per location, all
+// sharing this artifact.
+func (c *Compiled) MSO(strategy string, opts mso.Options) (*mso.Result, error) {
 	return mso.Sweep(c.Source, func(qa int32) (*discovery.Outcome, error) {
-		return c.NewRun().Discover(alg, qa)
+		return c.NewRun().DiscoverStrategy(strategy, qa)
 	}, opts)
 }
 

@@ -1,215 +1,43 @@
 // Package core is the public façade of the robust query processing
-// library: it wires the ESS search space to the three discovery
-// algorithms — PlanBouquet (baseline), SpillBound, and AlignedBound —
-// and to the MSO evaluation harness.
+// library: it wires the ESS contour source to the discovery policies —
+// the paper's PlanBouquet (baseline), SpillBound and AlignedBound, and
+// the bake-off comparison heuristics — and to the MSO evaluation
+// harness.
 //
-// The API splits compile time from run time: Compile produces an
-// immutable *Compiled artifact (anorexic reduction, contours, alignment
-// planner) that any number of concurrent *Run values share, each Run
-// holding only per-discovery mutable state. Session remains as a thin
-// compatibility wrapper that compiles lazily and drives one Run per
-// discovery.
+// The API splits compile time from run time: Compile (or CompileSource)
+// produces an immutable *Compiled artifact (contour source, anorexic
+// reduction, alignment planner) that any number of concurrent *Run
+// values share, each Run holding only per-discovery mutable state.
+// Every policy is named, run and bounded through one strategy registry:
+// Run.DiscoverStrategy[With] drives a policy by its registry name and
+// Compiled.StrategyGuarantee returns its a-priori MSO bound, if any.
 //
 // Typical use:
 //
 //	spec, _ := workload.ByName("4D_Q91")
 //	space, _ := spec.Space(1.0, 0)
 //	compiled, _ := core.Compile(space, core.CompileOptions{})
-//	out, _ := compiled.NewRun().Discover(core.SpillBound, qa)
+//	out, _ := compiled.NewRun().DiscoverStrategy(core.SpillBound, qa)
 //	fmt.Println(out.SubOpt(space.PointCost[qa]))
 package core
 
-import (
-	"sync"
-
-	"repro/internal/core/alignedbound"
-	"repro/internal/core/discovery"
-	"repro/internal/ess"
-	"repro/internal/faultinject"
-	"repro/internal/mso"
-)
+import "repro/internal/core/discovery"
 
 // Outcome is the result of one discovery run (see discovery.Outcome for
 // the trace, cost ledger, and degradation record).
 type Outcome = discovery.Outcome
 
-// Algorithm selects a query processing strategy.
-type Algorithm string
-
-// The supported strategies.
+// Registry names of the paper's three algorithms.
 const (
 	// PlanBouquet is the baseline of Dutt & Haritsa with anorexic
 	// reduction at λ = 0.2 and MSO ≤ 4(1+λ)ρ_red.
-	PlanBouquet Algorithm = "planbouquet"
+	PlanBouquet = "planbouquet"
 	// SpillBound is the paper's main algorithm, MSO ≤ D²+3D.
-	SpillBound Algorithm = "spillbound"
+	SpillBound = "spillbound"
 	// AlignedBound exploits contour alignment, MSO ∈ [2D+2, D²+3D].
-	AlignedBound Algorithm = "alignedbound"
+	AlignedBound = "alignedbound"
 )
 
 // DefaultLambda is the anorexic-reduction threshold used throughout the
 // paper's experiments.
 const DefaultLambda = 0.2
-
-// Session is the pre-split convenience façade: a search space plus a
-// lazily built Compiled artifact and session-wide accumulators, all
-// behind one mutex. It remains safe for concurrent use, but new code
-// (and anything latency-sensitive) should Compile once and create a Run
-// per discovery instead.
-type Session struct {
-	// Space is the ESS search space the session operates on.
-	Space *ess.Space
-
-	mu     sync.Mutex
-	lambda float64
-	// faults, when set, arms simulated discoveries with injected engine
-	// faults behind the resilient driver (chaos mode).
-	faults   *faultinject.Injector
-	compiled *Compiled
-	// maxPenalty tracks the largest AlignedBound partition penalty
-	// observed across this session's runs (Table 4). Each run reports
-	// its own penalty on the Outcome; the session folds them here.
-	maxPenalty float64
-}
-
-// NewSession creates a session over the space with the default λ.
-func NewSession(space *ess.Space) *Session {
-	return &Session{Space: space, lambda: DefaultLambda}
-}
-
-// SetLambda overrides the anorexic reduction threshold. It returns an
-// error if the session has already compiled its artifact (the reduction
-// is built eagerly at first use and cannot be rethresholded) or if the
-// threshold is invalid.
-func (s *Session) SetLambda(lambda float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.compiled != nil {
-		return errSetLambdaAfterCompile
-	}
-	if _, err := validateLambda(lambda); err != nil {
-		return err
-	}
-	s.lambda = lambda
-	return nil
-}
-
-// SetFaults arms (or with nil disarms) fault injection for this
-// session's simulated discoveries: Discover wraps the sim engine in a
-// FaultySim plus the resilient retry driver, and DiscoverWith applies
-// the AlignedBound→SpillBound planner fallback. The injector's schedule
-// is deterministic per seed, so chaos runs are reproducible. The
-// session hands the injector to every run as-is (no substream forking),
-// so sequential chaos runs consume one continuous schedule.
-func (s *Session) SetFaults(in *faultinject.Injector) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = in
-}
-
-// Faults returns the session's armed injector (nil when disarmed).
-func (s *Session) Faults() *faultinject.Injector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faults
-}
-
-// Compiled returns the session's compiled artifact, building it on
-// first use.
-func (s *Session) Compiled() *Compiled {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ensureCompiled()
-}
-
-// ensureCompiled builds the artifact lazily; callers hold s.mu.
-func (s *Session) ensureCompiled() *Compiled {
-	if s.compiled == nil {
-		c, err := newCompiled(s.Space, s.lambda)
-		if err != nil {
-			// SetLambda validated the threshold, so this is unreachable.
-			panic(err)
-		}
-		s.compiled = c
-	}
-	return s.compiled
-}
-
-// Reduction returns the session's anorexic reduction, compiling on
-// first use.
-func (s *Session) Reduction() *ess.Reduction { return s.Compiled().Reduction() }
-
-// Planner returns the session's AlignedBound planner, compiling on
-// first use.
-func (s *Session) Planner() *alignedbound.Planner { return s.Compiled().Planner() }
-
-// Guarantee returns the MSO guarantee of the algorithm on this query:
-// the a-priori bound the paper proves. For AlignedBound the upper end
-// of its range is returned (use alignedbound.GuaranteeRange for both).
-func (s *Session) Guarantee(alg Algorithm) (float64, error) {
-	return s.Compiled().Guarantee(alg)
-}
-
-// newRun creates a run carrying the session's armed injector.
-func (s *Session) newRun() *Run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ensureCompiled().NewRun().WithFaults(s.faults)
-}
-
-// fold accumulates a finished run's penalty into the session ledger.
-func (s *Session) fold(r *Run) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := r.MaxPenalty(); p > s.maxPenalty {
-		s.maxPenalty = p
-	}
-}
-
-// Discover runs the algorithm for the query instance whose true
-// location is the grid point qa, using cost-model simulated execution.
-// With faults armed (SetFaults), the simulation runs behind the
-// fault-injecting engine and the resilient retry driver.
-func (s *Session) Discover(alg Algorithm, qa int32) (*discovery.Outcome, error) {
-	r := s.newRun()
-	out, err := r.Discover(alg, qa)
-	s.fold(r)
-	return out, err
-}
-
-// DiscoverWith runs the algorithm against an arbitrary execution engine
-// (e.g. the real row-level executor, typically behind
-// discovery.NewResilient). When the engine is a *discovery.Resilient,
-// the degradations, retries, and wasted cost it recorded during the run
-// are attached to the returned Outcome.
-func (s *Session) DiscoverWith(alg Algorithm, eng discovery.Engine) (*discovery.Outcome, error) {
-	r := s.newRun()
-	out, err := r.DiscoverWith(alg, eng)
-	s.fold(r)
-	return out, err
-}
-
-// MaxPenalty returns the largest AlignedBound partition penalty π*
-// observed so far in this session (1 if only aligned contours were
-// used; 0 if AlignedBound never ran).
-func (s *Session) MaxPenalty() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxPenalty
-}
-
-// MSO exhaustively (or strided) evaluates the algorithm's empirical MSO
-// and ASO over the grid.
-func (s *Session) MSO(alg Algorithm, opts mso.Options) (*mso.Result, error) {
-	s.Compiled() // compile outside the sweep's worker pool
-	res, err := mso.Sweep(s.Space, func(qa int32) (*discovery.Outcome, error) {
-		return s.Discover(alg, qa)
-	}, opts)
-	return res, err
-}
-
-// NativeWorstCaseMSO evaluates the traditional optimizer's worst-case
-// MSO (Eq. 2) on this space.
-func (s *Session) NativeWorstCaseMSO(opts mso.Options) *mso.Result {
-	return mso.NativeWorstCase(s.Space, opts)
-}

@@ -7,64 +7,49 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestSessionGuarantees(t *testing.T) {
-	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
-	sb, err := sess.Guarantee(SpillBound)
-	if err != nil || sb != 10 {
-		t.Fatalf("SB guarantee = %v, %v", sb, err)
-	}
-	pb, err := sess.Guarantee(PlanBouquet)
-	if err != nil || pb <= 0 {
-		t.Fatalf("PB guarantee = %v, %v", pb, err)
-	}
-	ab, err := sess.Guarantee(AlignedBound)
-	if err != nil || ab != 10 {
-		t.Fatalf("AB guarantee (upper) = %v, %v", ab, err)
-	}
-	if _, err := sess.Guarantee("zzz"); err == nil {
-		t.Fatal("unknown algorithm should error")
-	}
-}
+var paperStrategies = []string{PlanBouquet, SpillBound, AlignedBound}
 
-func TestSessionDiscoverAllAlgorithms(t *testing.T) {
+func TestDiscoverPaperStrategies(t *testing.T) {
 	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
+	c, err := Compile(s, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	qa := int32(s.Grid.Linear([]int{6, 5}))
-	for _, alg := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
-		out, err := sess.Discover(alg, qa)
+	for _, name := range paperStrategies {
+		out, err := c.NewRun().DiscoverStrategy(name, qa)
 		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !out.Completed {
-			t.Fatalf("%s: not completed", alg)
+			t.Fatalf("%s: not completed", name)
 		}
-		g, _ := sess.Guarantee(alg)
+		g, _ := c.StrategyGuarantee(name)
 		if so := out.SubOpt(s.PointCost[qa]); so > g*3 {
-			t.Errorf("%s: sub-opt %v far above guarantee %v", alg, so, g)
+			t.Errorf("%s: sub-opt %v far above guarantee %v", name, so, g)
 		}
-	}
-	if _, err := sess.Discover("zzz", qa); err == nil {
-		t.Fatal("unknown algorithm should error")
 	}
 }
 
-func TestSessionMSOOrdering(t *testing.T) {
+func TestCompiledMSOOrdering(t *testing.T) {
 	s := testutil.Space2D(t, 10)
-	sess := NewSession(s)
-	pb, err := sess.MSO(PlanBouquet, mso.Options{})
+	c, err := Compile(s, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := sess.MSO(SpillBound, mso.Options{})
+	pb, err := c.MSO(PlanBouquet, mso.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := sess.MSO(AlignedBound, mso.Options{})
+	sb, err := c.MSO(SpillBound, mso.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	native := sess.NativeWorstCaseMSO(mso.Options{})
+	ab, err := c.MSO(AlignedBound, mso.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := c.NativeWorstCaseMSO(mso.Options{})
 	if native.MSO < sb.MSO {
 		t.Errorf("native (%v) should dominate SB (%v)", native.MSO, sb.MSO)
 	}
@@ -74,36 +59,49 @@ func TestSessionMSOOrdering(t *testing.T) {
 	if ab.MSO <= 0 {
 		t.Error("AB MSOe must be positive")
 	}
-	if sess.MaxPenalty() < 1 {
-		t.Errorf("MaxPenalty = %v after AB sweep", sess.MaxPenalty())
+	if ab.MaxAlignPenalty < 1 {
+		t.Errorf("MaxAlignPenalty = %v after AB sweep", ab.MaxAlignPenalty)
+	}
+	if _, err := c.MSO("zzz", mso.Options{}); err == nil {
+		t.Fatal("unknown strategy should error")
 	}
 }
 
 func TestSetLambda(t *testing.T) {
 	s := testutil.Space2D(t, 8)
-	sess := NewSession(s)
-	if err := sess.SetLambda(0.5); err != nil {
+	c, err := Compile(s, CompileOptions{Lambda: 0.5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	red := sess.Reduction()
-	if red.Lambda != 0.5 {
+	if red := c.Reduction(); red.Lambda != 0.5 {
 		t.Fatalf("lambda = %v", red.Lambda)
 	}
-	if err := sess.SetLambda(0.1); err == nil {
-		t.Fatal("SetLambda after the reduction was built should error")
+	if c, err = Compile(s, CompileOptions{}); err != nil || c.Reduction().Lambda != DefaultLambda {
+		t.Fatalf("zero lambda must mean DefaultLambda (err %v)", err)
 	}
-	if red2 := sess.Reduction(); red2.Lambda != 0.5 {
-		t.Fatalf("rejected SetLambda must not change the reduction (lambda = %v)", red2.Lambda)
-	}
-	if err := NewSession(s).SetLambda(-0.5); err == nil {
+	if _, err := Compile(s, CompileOptions{Lambda: -0.5}); err == nil {
 		t.Fatal("negative lambda should error")
 	}
 }
 
+// A run's penalty ledger starts empty and records π* ≥ 1 once
+// AlignedBound has run on it.
 func TestMaxPenaltyZeroBeforeABRuns(t *testing.T) {
 	s := testutil.Space2D(t, 8)
-	sess := NewSession(s)
-	if sess.MaxPenalty() != 0 {
+	c, err := Compile(s, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.NewRun()
+	if r.MaxPenalty() != 0 {
 		t.Fatal("MaxPenalty should start at 0")
+	}
+	for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 7 {
+		if _, err := r.DiscoverStrategy(AlignedBound, qa); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.MaxPenalty() < 1 {
+		t.Errorf("MaxPenalty = %v after AB runs", r.MaxPenalty())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/core/discovery"
 	"repro/internal/query"
 )
 
@@ -71,14 +70,13 @@ func (k OutcomeKey) Hash() uint64 {
 		).Hash
 }
 
-// CachedOutcome is one cache value: the discovery outcome for
-// API-level reuse plus the exact JSON response bytes served for it, so
-// a hit bypasses both the admission-slot execution and the re-encode.
-// Both are immutable once cached; Body must never be mutated by
-// readers (it is written to responses directly, zero-copy).
+// CachedOutcome is one cache value: the exact JSON response bytes
+// served for a discovery, so a hit bypasses both the admission-slot
+// execution and the re-encode. Body is immutable once cached and must
+// never be mutated by readers (it is written to responses directly,
+// zero-copy).
 type CachedOutcome struct {
-	Outcome *discovery.Outcome
-	Body    []byte
+	Body []byte
 }
 
 // OutcomeCache is a byte-budgeted LRU over deterministic discovery
@@ -241,25 +239,14 @@ func (c *OutcomeCache) Stats() CacheStats {
 }
 
 // EstimateOutcomeBytes approximates the resident size of a cached
-// outcome for budget accounting: the response body and the step trace
-// dominate. Like EstimateArtifactBytes, only consistency and
-// monotonicity matter, not exactness.
+// outcome for budget accounting: the response body plus a fixed
+// per-entry overhead (entry struct, list element, map slot). Like
+// EstimateArtifactBytes, only consistency and monotonicity matter, not
+// exactness.
 func EstimateOutcomeBytes(v *CachedOutcome) int64 {
 	if v == nil {
 		return 0
 	}
-	const (
-		perStep     = 72  // discovery.Step value + slice slot
-		perDegr     = 64  // discovery.Degradation value sans strings
-		fixedOverhd = 256 // entry struct, list element, map slot
-	)
-	size := int64(len(v.Body)) + fixedOverhd
-	if o := v.Outcome; o != nil {
-		size += int64(len(o.Steps)) * perStep
-		size += int64(len(o.Degradations)) * perDegr
-		for _, d := range o.Degradations {
-			size += int64(len(d.Kind) + len(d.Detail))
-		}
-	}
-	return size
+	const fixedOverhd = 256
+	return int64(len(v.Body)) + fixedOverhd
 }

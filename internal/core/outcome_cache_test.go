@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/core/discovery"
 )
 
 func okey(qa int) OutcomeKey {
@@ -16,10 +14,7 @@ func okey(qa int) OutcomeKey {
 }
 
 func oval(body string) *CachedOutcome {
-	return &CachedOutcome{
-		Outcome: &discovery.Outcome{Completed: true, TotalCost: 1},
-		Body:    []byte(body),
-	}
+	return &CachedOutcome{Body: []byte(body)}
 }
 
 // mustPut inserts past the doorkeeper: the first offer of a new key is
@@ -157,23 +152,14 @@ func TestEstimateOutcomeBytesMonotone(t *testing.T) {
 	if EstimateOutcomeBytes(nil) != 0 {
 		t.Fatal("nil estimate must be zero")
 	}
-	small := &CachedOutcome{Body: []byte("{}"), Outcome: &discovery.Outcome{}}
-	big := &CachedOutcome{
-		Body: make([]byte, 4096),
-		Outcome: &discovery.Outcome{
-			Steps: make([]discovery.Step, 32),
-			Degradations: []discovery.Degradation{
-				{Kind: "retry", Detail: "transient fault at exec 3"},
-			},
-		},
-	}
+	small := &CachedOutcome{Body: []byte("{}")}
+	big := &CachedOutcome{Body: make([]byte, 4096)}
 	s, b := EstimateOutcomeBytes(small), EstimateOutcomeBytes(big)
 	if s <= 0 || b <= s {
 		t.Fatalf("estimates not monotone: small=%d big=%d", s, b)
 	}
-	bodyOnly := &CachedOutcome{Body: make([]byte, 4096)}
-	if EstimateOutcomeBytes(bodyOnly) >= b {
-		t.Fatal("trace bytes must count toward the estimate")
+	if b-s != int64(len(big.Body)-len(small.Body)) {
+		t.Fatalf("estimate must grow by exactly the body bytes: small=%d big=%d", s, b)
 	}
 }
 

@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
-	"repro/internal/core/alignedbound"
-	"repro/internal/core/bouquet"
 	"repro/internal/core/discovery"
-	"repro/internal/core/spillbound"
 	"repro/internal/faultinject"
 )
 
@@ -112,8 +110,8 @@ func (r *Run) MaxPenalty() float64 { return r.maxPenalty }
 // the instance at qa: the bare sim, wrapped — when faults are armed —
 // in the fault-injecting engine plus the resilient retry driver, and —
 // when a context bounds the run — in the deadline guard. Every
-// discovery entry point (algorithm or strategy) shares this one stack,
-// so all six bake-off policies see identical plumbing.
+// registered strategy runs on this one stack, so all six bake-off
+// policies see identical plumbing.
 func (r *Run) simStack(qa int32) discovery.Engine {
 	sim := discovery.NewSimEngine(r.c.Source, qa)
 	if in := r.faults; in != nil {
@@ -130,28 +128,31 @@ func (r *Run) simStack(qa int32) discovery.Engine {
 	return sim
 }
 
-// Discover runs the algorithm for the query instance whose true
-// location is the grid point qa, using cost-model simulated execution.
-// With faults armed (WithFaults), the simulation runs behind the
+// DiscoverStrategy runs the named strategy for the query instance whose
+// true location is the grid point qa, using cost-model simulated
+// execution behind the run's armed injector and context (see
+// simStack). With faults armed the simulation runs behind the
 // fault-injecting engine and the resilient retry driver.
-func (r *Run) Discover(alg Algorithm, qa int32) (*discovery.Outcome, error) {
-	return r.DiscoverWith(alg, r.simStack(qa))
+func (r *Run) DiscoverStrategy(name string, qa int32) (*discovery.Outcome, error) {
+	return r.DiscoverStrategyWith(name, r.simStack(qa))
 }
 
-// DiscoverWith runs the algorithm against an arbitrary execution engine
-// (e.g. the real row-level executor, typically behind
+// DiscoverStrategyWith runs the named strategy against an arbitrary
+// execution engine (e.g. the real row-level executor, typically behind
 // discovery.NewResilient). When the engine is a *discovery.Resilient,
 // the degradations, retries, and wasted cost it recorded during the run
 // are attached to the returned Outcome.
-func (r *Run) DiscoverWith(alg Algorithm, eng discovery.Engine) (*discovery.Outcome, error) {
-	out, err := r.dispatch(alg, eng)
-	return r.finish(out, err, eng)
-}
-
-// finish applies the run-ledger epilogue shared by every discovery
-// entry point: attach the resilient driver's degradation ledger, then
-// stamp a run-level abort on the partial outcome.
-func (r *Run) finish(out *discovery.Outcome, err error, eng discovery.Engine) (*discovery.Outcome, error) {
+func (r *Run) DiscoverStrategyWith(name string, eng discovery.Engine) (*discovery.Outcome, error) {
+	s, ok := StrategyByName(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown strategy %q (registered: %s)",
+			name, strings.Join(StrategyNamesSorted(), ", "))
+	}
+	prep, err := r.c.strategyPrep(s)
+	if err != nil {
+		return nil, fmt.Errorf("core: preparing strategy %q: %w", name, err)
+	}
+	out, err := s.Discover(r, prep, eng)
 	if res, ok := eng.(*discovery.Resilient); ok && out != nil {
 		degs, retries, wasted := res.Take()
 		out.Degradations = append(out.Degradations, degs...)
@@ -164,58 +165,6 @@ func (r *Run) finish(out *discovery.Outcome, err error, eng discovery.Engine) (*
 	if aerr := discovery.AbortCause(err); aerr != nil && out != nil {
 		out.Degradations = append(out.Degradations, discovery.Degradation{
 			Kind: "exec-abandoned", Detail: aerr.Err.Error(),
-		})
-	}
-	return out, err
-}
-
-func (r *Run) dispatch(alg Algorithm, eng discovery.Engine) (*discovery.Outcome, error) {
-	switch alg {
-	case PlanBouquet:
-		return bouquet.Run(r.c.Source, r.c.Reduction(), eng)
-	case SpillBound:
-		return spillbound.Run(r.c.Source, eng)
-	case AlignedBound:
-		return r.runAligned(eng)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
-	}
-}
-
-// runAligned runs AlignedBound with the planner-failure degradation:
-// when the armed injector trips the alignment-planner site, or the
-// planner panics during a chaos run, the discovery falls back to
-// SpillBound — the algorithm AlignedBound refines — and the fallback is
-// recorded on the Outcome. Fault-free runs never mask planner panics.
-func (r *Run) runAligned(eng discovery.Engine) (out *discovery.Outcome, err error) {
-	in := r.faults
-	if ferr := in.Check(faultinject.SiteAlignPlanner); ferr != nil {
-		return r.alignFallback(eng, ferr.Error())
-	}
-	if in != nil {
-		defer func() {
-			if rec := recover(); rec != nil {
-				out, err = r.alignFallback(eng, fmt.Sprintf("planner panic: %v", rec))
-			}
-		}()
-	}
-	out, pen, err := alignedbound.Run(r.c.Source, r.c.planner, eng)
-	if out != nil {
-		out.AlignPenalty = pen
-	}
-	if pen > r.maxPenalty {
-		r.maxPenalty = pen
-	}
-	return out, err
-}
-
-// alignFallback degrades an AlignedBound discovery to SpillBound,
-// stamping the Outcome with the "alignment-fallback" degradation.
-func (r *Run) alignFallback(eng discovery.Engine, detail string) (*discovery.Outcome, error) {
-	out, err := spillbound.Run(r.c.Source, eng)
-	if out != nil {
-		out.Degradations = append(out.Degradations, discovery.Degradation{
-			Kind: "alignment-fallback", Detail: detail,
 		})
 	}
 	return out, err

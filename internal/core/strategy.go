@@ -98,41 +98,14 @@ func StrategyNamesSorted() []string {
 }
 
 func init() {
-	// The paper algorithms, behind the same dispatch path Run.Discover
-	// uses — a strategy run is byte-for-byte the pre-refactor run.
-	RegisterStrategy(paperStrategy{alg: PlanBouquet})
-	RegisterStrategy(paperStrategy{alg: SpillBound})
-	RegisterStrategy(paperStrategy{alg: AlignedBound})
-	// The bake-off comparison strategies.
+	// The paper algorithms first, then the bake-off comparison
+	// strategies; every listing follows this order.
+	RegisterStrategy(paperStrategy{name: PlanBouquet})
+	RegisterStrategy(paperStrategy{name: SpillBound})
+	RegisterStrategy(paperStrategy{name: AlignedBound})
 	RegisterStrategy(parqoStrategy{})
 	RegisterStrategy(robustMapStrategy{})
 	RegisterStrategy(adaptiveSwitchStrategy{})
-}
-
-// paperStrategy adapts one of the paper's algorithms to the Strategy
-// interface. Its Discover calls the exact dispatch path Run.Discover
-// uses (including the AlignedBound planner-fault fallback), so outcomes
-// are deep-equal to the pre-refactor drivers by construction — the
-// equivalence the differential suites pin.
-type paperStrategy struct{ alg Algorithm }
-
-func (p paperStrategy) Name() string { return string(p.alg) }
-
-// Prepare is a no-op: the reduction and alignment planner are already
-// part of the Compiled artifact.
-func (p paperStrategy) Prepare(c *Compiled) (any, error) { return nil, nil }
-
-func (p paperStrategy) Discover(r *Run, _ any, eng discovery.Engine) (*discovery.Outcome, error) {
-	return r.dispatch(p.alg, eng)
-}
-
-// Guarantee exposes the paper bound for the wrapped algorithm.
-func (p paperStrategy) Guarantee(c *Compiled) (float64, bool) {
-	g, err := c.Guarantee(p.alg)
-	if err != nil {
-		return 0, false
-	}
-	return g, true
 }
 
 // StrategyGuarantee returns the a-priori MSO bound of the named
@@ -180,29 +153,4 @@ func (c *Compiled) PrepareStrategy(name string) error {
 	}
 	_, err := c.strategyPrep(s)
 	return err
-}
-
-// DiscoverStrategy runs the named strategy for the query instance whose
-// true location is the grid point qa, using cost-model simulated
-// execution behind the run's armed injector and context — exactly the
-// engine stack Run.Discover builds for the paper algorithms.
-func (r *Run) DiscoverStrategy(name string, qa int32) (*discovery.Outcome, error) {
-	return r.DiscoverStrategyWith(name, r.simStack(qa))
-}
-
-// DiscoverStrategyWith runs the named strategy against an arbitrary
-// execution engine, with the same resilient-ledger attachment and
-// abort stamping as DiscoverWith.
-func (r *Run) DiscoverStrategyWith(name string, eng discovery.Engine) (*discovery.Outcome, error) {
-	s, ok := StrategyByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown strategy %q (registered: %s)",
-			name, strings.Join(StrategyNamesSorted(), ", "))
-	}
-	prep, err := r.c.strategyPrep(s)
-	if err != nil {
-		return nil, fmt.Errorf("core: preparing strategy %q: %w", name, err)
-	}
-	out, derr := s.Discover(r, prep, eng)
-	return r.finish(out, derr, eng)
 }

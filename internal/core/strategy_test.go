@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core/alignedbound"
+	"repro/internal/core/bouquet"
+	"repro/internal/core/discovery"
+	"repro/internal/core/spillbound"
 	"repro/internal/faultinject"
 	"repro/internal/testutil"
 )
@@ -27,9 +31,44 @@ func TestStrategyRegistry(t *testing.T) {
 	}
 }
 
+// directPaperRun calls a paper algorithm's own package entry point on
+// c.Source behind the engine stack and ledger epilogue DiscoverStrategy
+// builds, without going through the registry.
+func directPaperRun(c *Compiled, name string, qa int32, in *faultinject.Injector) (*discovery.Outcome, error) {
+	sim := discovery.NewSimEngine(c.Source, qa)
+	var eng discovery.Engine = sim
+	var res *discovery.Resilient
+	if in != nil {
+		res = discovery.NewResilient(discovery.NewFaultySim(sim, in), discovery.DefaultRetryPolicy).
+			WithJitter(in.Jitter)
+		eng = res
+	}
+	var out *discovery.Outcome
+	var err error
+	switch name {
+	case PlanBouquet:
+		out, err = bouquet.Run(c.Source, c.Reduction(), eng)
+	case SpillBound:
+		out, err = spillbound.Run(c.Source, eng)
+	case AlignedBound:
+		var pen float64
+		out, pen, err = alignedbound.Run(c.Source, c.Planner(), eng)
+		if out != nil {
+			out.AlignPenalty = pen
+		}
+	}
+	if res != nil && out != nil {
+		degs, retries, wasted := res.Take()
+		out.Degradations = append(out.Degradations, degs...)
+		out.Retries += retries
+		out.WastedCost += wasted
+	}
+	return out, err
+}
+
 // The paper algorithms behind Strategy must produce deep-equal Outcomes
-// vs. their pre-refactor drivers — clean and under an identical chaos
-// schedule.
+// vs. their own drivers called directly — clean and under an identical
+// chaos schedule.
 func TestPaperStrategiesMatchAlgorithms(t *testing.T) {
 	s := testutil.Space2D(t, 8)
 	c, err := Compile(s, CompileOptions{})
@@ -45,23 +84,23 @@ func TestPaperStrategiesMatchAlgorithms(t *testing.T) {
 			faultinject.SiteLatency:     0.20,
 		},
 	}
-	for _, alg := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
+	for _, name := range paperStrategies {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 5 {
-			want, werr := c.NewRun().Discover(alg, qa)
-			got, gerr := c.NewRun().DiscoverStrategy(string(alg), qa)
+			want, werr := directPaperRun(c, name, qa, nil)
+			got, gerr := c.NewRun().DiscoverStrategy(name, qa)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s qa=%d: errors diverge: %v vs %v", alg, qa, werr, gerr)
+				t.Fatalf("%s qa=%d: errors diverge: %v vs %v", name, qa, werr, gerr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s qa=%d: clean strategy outcome diverges\n got %+v\nwant %+v", alg, qa, got, want)
+				t.Fatalf("%s qa=%d: clean strategy outcome diverges\n got %+v\nwant %+v", name, qa, got, want)
 			}
-			want, werr = c.NewRun().WithFaults(faultinject.New(chaos)).Discover(alg, qa)
-			got, gerr = c.NewRun().WithFaults(faultinject.New(chaos)).DiscoverStrategy(string(alg), qa)
+			want, werr = directPaperRun(c, name, qa, faultinject.New(chaos))
+			got, gerr = c.NewRun().WithFaults(faultinject.New(chaos)).DiscoverStrategy(name, qa)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s qa=%d: chaos errors diverge: %v vs %v", alg, qa, werr, gerr)
+				t.Fatalf("%s qa=%d: chaos errors diverge: %v vs %v", name, qa, werr, gerr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s qa=%d: chaos strategy outcome diverges", alg, qa)
+				t.Fatalf("%s qa=%d: chaos strategy outcome diverges", name, qa)
 			}
 		}
 	}
@@ -151,14 +190,15 @@ func TestStrategyGuarantees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
-		g, ok := c.StrategyGuarantee(string(alg))
-		if !ok {
-			t.Fatalf("%s: no strategy guarantee", alg)
-		}
-		want, err := c.Guarantee(alg)
-		if err != nil || g != want {
-			t.Fatalf("%s: strategy guarantee %v, algorithm %v (%v)", alg, g, want, err)
+	want := map[string]float64{
+		PlanBouquet:  bouquet.Guarantee(c.Reduction()),
+		SpillBound:   10, // D²+3D at D = 2
+		AlignedBound: 10, // upper end of [2D+2, D²+3D]
+	}
+	for _, name := range paperStrategies {
+		g, ok := c.StrategyGuarantee(name)
+		if !ok || g != want[name] || g <= 0 {
+			t.Fatalf("%s: guarantee %v (ok %v), want %v", name, g, ok, want[name])
 		}
 	}
 	for _, name := range []string{"parqo", "robustmap", "adaptiveswitch", "zzz"} {

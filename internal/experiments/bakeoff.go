@@ -90,7 +90,7 @@ func Bakeoff(c *core.Compiled, workloadName string, opts BakeoffOptions) (*Bakeo
 			return nil, err
 		}
 	}
-	g := c.Space.Grid
+	g := c.Source.Geometry()
 	res := &BakeoffResult{
 		Workload: workloadName, D: g.D, Res: g.Res,
 		ChaosSeed: opts.ChaosSeed, ChaosRate: opts.ChaosRate,
@@ -100,7 +100,7 @@ func Bakeoff(c *core.Compiled, workloadName string, opts BakeoffOptions) (*Bakeo
 		row := BakeoffRow{Strategy: name}
 		row.Guarantee, row.HasGuarantee = c.StrategyGuarantee(name)
 
-		clean, err := mso.Sweep(c.Space, func(qa int32) (*core.Outcome, error) {
+		clean, err := mso.Sweep(c.Source, func(qa int32) (*core.Outcome, error) {
 			return c.NewRun().DiscoverStrategy(name, qa)
 		}, sweepOpts)
 		if err != nil {
@@ -118,7 +118,7 @@ func Bakeoff(c *core.Compiled, workloadName string, opts BakeoffOptions) (*Bakeo
 			degs := make([]int, n)
 			retries := make([]int, n)
 			base := faultinject.NewUniform(opts.ChaosSeed, opts.ChaosRate)
-			chaos, err := mso.Sweep(c.Space, func(qa int32) (*core.Outcome, error) {
+			chaos, err := mso.Sweep(c.Source, func(qa int32) (*core.Outcome, error) {
 				out, err := c.NewRun().WithFaults(base.Fork(uint64(qa))).DiscoverStrategy(name, qa)
 				if out != nil {
 					wasted[qa] = out.WastedCost

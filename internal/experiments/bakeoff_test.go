@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ess"
+	"repro/internal/workload"
 )
 
 func bakeoffFixture(t *testing.T) *BakeoffResult {
@@ -129,5 +131,43 @@ func TestBakeoffUpdateExperimentsFile(t *testing.T) {
 	}
 	if got := strings.Count(string(second), "<!-- bakeoff:begin -->"); got != 1 {
 		t.Fatalf("%d begin markers, want 1", got)
+	}
+}
+
+// The bake-off and the throughput driver read the grid through the
+// artifact's contour source, so both run over a demand-driven
+// (lazy) source exactly as over an eager one.
+func TestBakeoffAndThroughputOverLazySource(t *testing.T) {
+	spec, err := workload.ByName("EQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := spec.LazySpaceWith(1.0, ess.Config{Res: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.CompileSource(ls, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Bakeoff(c, "EQ", BakeoffOptions{Stride: 1, ChaosSeed: 2016, ChaosRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(core.Strategies()) || res.Points != ls.Geometry().NumPoints() {
+		t.Fatalf("%d rows over %d points, want %d rows over %d",
+			len(res.Rows), res.Points, len(core.Strategies()), ls.Geometry().NumPoints())
+	}
+	for _, row := range res.Rows {
+		if row.MSOe < 1 || row.ASO < 1 || row.ASO > row.MSOe {
+			t.Fatalf("%s: implausible MSOe %v / ASO %v", row.Strategy, row.MSOe, row.ASO)
+		}
+	}
+	tp, err := Throughput(c, ThroughputOptions{Runs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.Runs != 8 || tp.TotalSteps <= 0 {
+		t.Fatalf("implausible throughput result %+v", tp)
 	}
 }

@@ -58,14 +58,14 @@ func buildMSOFixture(t *testing.T) *msoFixture {
 
 // discoverReal runs one discovery over real executions with a fresh
 // executor in the requested engine mode, optionally with armed faults.
-func (f *msoFixture) discoverReal(t *testing.T, alg core.Algorithm, vectorized bool,
+func (f *msoFixture) discoverReal(t *testing.T, alg string, vectorized bool,
 	mkFaults func() *faultinject.Injector) (*discovery.Outcome, error) {
 	t.Helper()
 	ex := exec.New(f.q, f.store, cost.DefaultParams()).Vectorized(vectorized)
 	if mkFaults != nil {
 		ex.WithFaults(mkFaults())
 	}
-	return f.compiled.NewRun().DiscoverWith(alg,
+	return f.compiled.NewRun().DiscoverStrategyWith(alg,
 		discovery.NewResilient(NewRealEngine(f.space, ex), discovery.DefaultRetryPolicy))
 }
 
@@ -99,13 +99,13 @@ func compareOutcomes(t *testing.T, name string, tup, vec *discovery.Outcome) {
 // of which the batched engine reproduces bit for bit.
 func TestDifferentialDiscoveryClean(t *testing.T) {
 	f := buildMSOFixture(t)
-	for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
+	for _, alg := range []string{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
 		tup, errT := f.discoverReal(t, alg, false, nil)
 		vec, errV := f.discoverReal(t, alg, true, nil)
 		if errT != nil || errV != nil {
 			t.Fatalf("alg %v: tuple err %v, vec err %v", alg, errT, errV)
 		}
-		compareOutcomes(t, string(alg), tup, vec)
+		compareOutcomes(t, alg, tup, vec)
 		if len(tup.Degradations) != 0 {
 			t.Errorf("%s: clean run took degradations: %+v", alg, tup.Degradations)
 		}
@@ -134,7 +134,7 @@ func TestDifferentialDiscoveryChaos(t *testing.T) {
 					Seed: seed, Rates: rates, PersistentFrac: pf, MaxPerSite: 2,
 				})
 			}
-			for _, alg := range []core.Algorithm{core.SpillBound, core.AlignedBound} {
+			for _, alg := range []string{core.SpillBound, core.AlignedBound} {
 				tup, errT := f.discoverReal(t, alg, false, mk)
 				vec, errV := f.discoverReal(t, alg, true, mk)
 				if (errT == nil) != (errV == nil) ||
@@ -145,7 +145,7 @@ func TestDifferentialDiscoveryChaos(t *testing.T) {
 				if errT != nil {
 					continue
 				}
-				compareOutcomes(t, string(alg)+"-seed"+string(rune('0'+seed)), tup, vec)
+				compareOutcomes(t, alg+"-seed"+string(rune('0'+seed)), tup, vec)
 			}
 		}
 	}

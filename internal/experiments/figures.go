@@ -108,8 +108,8 @@ func (h *Harness) Fig8MSOg() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pb, _ := c.Guarantee(core.PlanBouquet)
-		sb, _ := c.Guarantee(core.SpillBound)
+		pb, _ := c.StrategyGuarantee(core.PlanBouquet)
+		sb, _ := c.StrategyGuarantee(core.SpillBound)
 		rep.AddRow(spec.Name, fmt.Sprintf("%d", spec.D),
 			fmt.Sprintf("%d", c.Reduction().Rho), f1(pb), f1(sb))
 	}
@@ -129,8 +129,8 @@ func (h *Harness) Fig9Dimensionality() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pb, _ := c.Guarantee(core.PlanBouquet)
-		sb, _ := c.Guarantee(core.SpillBound)
+		pb, _ := c.StrategyGuarantee(core.PlanBouquet)
+		sb, _ := c.StrategyGuarantee(core.SpillBound)
 		rep.AddRow(spec.Name, fmt.Sprintf("%d", spec.D),
 			fmt.Sprintf("%d", c.Reduction().Rho), f1(pb), f1(sb))
 	}
@@ -158,8 +158,8 @@ func (h *Harness) Fig10MSOe() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pbG, _ := c.Guarantee(core.PlanBouquet)
-		sbG, _ := c.Guarantee(core.SpillBound)
+		pbG, _ := c.StrategyGuarantee(core.PlanBouquet)
+		sbG, _ := c.StrategyGuarantee(core.SpillBound)
 		rep.AddRow(spec.Name, fmt.Sprintf("%d", spec.D),
 			f1(pbE.MSO), f1(sbE.MSO), f1(pbG), f1(sbG))
 	}

@@ -45,13 +45,13 @@ func buildLazyPair(t *testing.T, res int) *lazyPair {
 	return &lazyPair{eager: ce, lazy: cl, points: space.Grid.NumPoints()}
 }
 
-func (p *lazyPair) discover(c *core.Compiled, alg core.Algorithm, qa int32,
+func (p *lazyPair) discover(c *core.Compiled, alg string, qa int32,
 	mkFaults func() *faultinject.Injector) (*discovery.Outcome, error) {
 	r := c.NewRun()
 	if mkFaults != nil {
 		r.WithFaults(mkFaults())
 	}
-	return r.Discover(alg, qa)
+	return r.DiscoverStrategy(alg, qa)
 }
 
 // compareLazyOutcomes asserts an eager and a lazy outcome are
@@ -103,7 +103,7 @@ func TestDifferentialLazyESS(t *testing.T) {
 		}
 	}
 	qas := []int32{0, int32(p.points / 3), int32(p.points / 2), int32(p.points - 1)}
-	for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
+	for _, alg := range []string{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
 		for name, mk := range schedules {
 			for _, qa := range qas {
 				eo, errE := p.discover(p.eager, alg, qa, mk)
@@ -116,7 +116,7 @@ func TestDifferentialLazyESS(t *testing.T) {
 				if errE != nil {
 					continue
 				}
-				p.compareLazyOutcomes(t, string(alg)+"/"+name, eo, lo)
+				p.compareLazyOutcomes(t, alg+"/"+name, eo, lo)
 			}
 		}
 	}

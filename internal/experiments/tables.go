@@ -83,8 +83,8 @@ func (h *Harness) SuiteSummary() (*Report, error) {
 			return nil, err
 		}
 		opts := h.sweepOpts(spec.D)
-		pbG, _ := c.Guarantee(core.PlanBouquet)
-		sbG, _ := c.Guarantee(core.SpillBound)
+		pbG, _ := c.StrategyGuarantee(core.PlanBouquet)
+		sbG, _ := c.StrategyGuarantee(core.SpillBound)
 		pbE, err := c.MSO(core.PlanBouquet, opts)
 		if err != nil {
 			return nil, err

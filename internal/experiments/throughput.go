@@ -47,11 +47,9 @@ func (p *ExecutorPool) Put(e *exec.Executor) {
 
 // ThroughputOptions configures a Throughput measurement.
 type ThroughputOptions struct {
-	// Algorithm is the discovery algorithm driven (default SpillBound).
-	Algorithm core.Algorithm
-	// Strategy, when non-empty, drives the named registered strategy
-	// instead of Algorithm — any bake-off policy can be throughput-
-	// profiled behind the same latent/faulty engine stack.
+	// Strategy names the registered policy driven (default SpillBound);
+	// any bake-off policy can be throughput-profiled behind the same
+	// latent/faulty engine stack.
 	Strategy string
 	// Parallel is the number of concurrent discoveries (default 1).
 	Parallel int
@@ -73,8 +71,8 @@ type ThroughputOptions struct {
 }
 
 func (o ThroughputOptions) withDefaults() ThroughputOptions {
-	if o.Algorithm == "" {
-		o.Algorithm = core.SpillBound
+	if o.Strategy == "" {
+		o.Strategy = core.SpillBound
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = 1
@@ -113,7 +111,7 @@ type ThroughputResult struct {
 // mix regardless of parallelism.
 func Throughput(c *core.Compiled, opts ThroughputOptions) (*ThroughputResult, error) {
 	opts = opts.withDefaults()
-	n := c.Space.Grid.NumPoints()
+	n := c.Source.Geometry().NumPoints()
 	lats := make([]time.Duration, opts.Runs)
 	steps := make([]int, opts.Runs)
 	retries := make([]int, opts.Runs)
@@ -148,7 +146,7 @@ func Throughput(c *core.Compiled, opts ThroughputOptions) (*ThroughputResult, er
 					run.WithContext(ctx)
 				}
 				t0 := time.Now()
-				out, err := discoverLatent(run, opts.Algorithm, opts.Strategy, qa, opts.ExecLatency)
+				out, err := discoverLatent(run, opts.Strategy, qa, opts.ExecLatency)
 				lats[i] = time.Since(t0)
 				if err != nil {
 					errs[w] = fmt.Errorf("throughput: run %d (qa=%d): %w", i, qa, err)
@@ -191,13 +189,11 @@ func Throughput(c *core.Compiled, opts ThroughputOptions) (*ThroughputResult, er
 	return res, nil
 }
 
-// discoverLatent is Run.Discover with the simulated engine behind a
-// discovery.Latent delay (and, with faults armed, behind the faulty
-// engine plus the resilient driver, as in Run.Discover). A non-empty
-// strategy name routes through the strategy registry instead of the
-// algorithm dispatch, on the identical engine stack.
-func discoverLatent(r *core.Run, alg core.Algorithm, strategy string, qa int32, delay time.Duration) (*core.Outcome, error) {
-	sim := discovery.NewSimEngine(r.Compiled().Space, qa)
+// discoverLatent is Run.DiscoverStrategy with the simulated engine
+// behind a discovery.Latent delay (and, with faults armed, behind the
+// faulty engine plus the resilient driver, as in DiscoverStrategy).
+func discoverLatent(r *core.Run, strategy string, qa int32, delay time.Duration) (*core.Outcome, error) {
+	sim := discovery.NewSimEngine(r.Compiled().Source, qa)
 	ctx := r.Context()
 	var eng discovery.Engine
 	if in := r.Faults(); in != nil {
@@ -215,8 +211,5 @@ func discoverLatent(r *core.Run, alg core.Algorithm, strategy string, qa int32, 
 		}
 		eng = lat
 	}
-	if strategy != "" {
-		return r.DiscoverStrategyWith(strategy, eng)
-	}
-	return r.DiscoverWith(alg, eng)
+	return r.DiscoverStrategyWith(strategy, eng)
 }

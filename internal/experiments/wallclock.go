@@ -108,7 +108,7 @@ func (h *Harness) Table3WallClock() (*Report, error) {
 	}
 	sbRun := compiled.NewRun().WithExecWorkers(h.Opts.ExecWorkers)
 	sbExec := execPool.Get().WithWorkers(sbRun.ExecWorkers())
-	sbOut, err := sbRun.DiscoverWith(core.SpillBound,
+	sbOut, err := sbRun.DiscoverStrategyWith(core.SpillBound,
 		discovery.NewResilient(NewRealEngine(space, sbExec), discovery.DefaultRetryPolicy))
 	execPool.Put(sbExec)
 	if err != nil {
@@ -118,7 +118,7 @@ func (h *Harness) Table3WallClock() (*Report, error) {
 	// both are per-run state).
 	abRun := compiled.NewRun().WithExecWorkers(h.Opts.ExecWorkers)
 	abExec := execPool.Get().WithWorkers(abRun.ExecWorkers())
-	abOut, err := abRun.DiscoverWith(core.AlignedBound,
+	abOut, err := abRun.DiscoverStrategyWith(core.AlignedBound,
 		discovery.NewResilient(NewRealEngine(space, abExec), discovery.DefaultRetryPolicy))
 	execPool.Put(abExec)
 	if err != nil {

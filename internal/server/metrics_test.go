@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -105,9 +106,10 @@ func TestSanitizeLabel(t *testing.T) {
 	}
 }
 
-// The strategy field routes /discover through the registry: any
-// registered name works, unknown names are typed 400s listing the
-// registry, and a contradictory algorithm/strategy pair is rejected.
+// The algorithm and strategy fields route /discover (and algorithm
+// routes /mso) through the registry: any registered name or pb/sb/ab
+// alias works, unknown names are typed 400s listing the registry, and a
+// contradictory algorithm/strategy pair is rejected.
 func TestDiscoverStrategyField(t *testing.T) {
 	s := newTestServer(t, testConfig(t))
 
@@ -163,6 +165,89 @@ func TestDiscoverStrategyField(t *testing.T) {
 		DiscoverRequest{Workload: "EQ", Algorithm: "pb", Strategy: "spillbound", QA: 7})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("conflicting pair: status %d", rec.Code)
+	}
+
+	// Aliases resolve case-insensitively, in either field.
+	for _, tc := range []struct {
+		req  DiscoverRequest
+		want string
+	}{
+		{DiscoverRequest{Workload: "EQ", Algorithm: "PB", QA: 7}, "planbouquet"},
+		{DiscoverRequest{Workload: "EQ", Algorithm: "Sb", QA: 7}, "spillbound"},
+		{DiscoverRequest{Workload: "EQ", Strategy: "AB", QA: 7}, "alignedbound"},
+	} {
+		rec, body = postJSON(t, s.Handler(), "/discover", tc.req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", tc.req, rec.Code, body)
+		}
+		resp = DiscoverResponse{}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Strategy != tc.want || resp.Algorithm != tc.want {
+			t.Fatalf("%+v: response %+v, want %s", tc.req, resp, tc.want)
+		}
+	}
+
+	// The algorithm field takes any registry name; heuristics get no
+	// algorithm echo.
+	rec, body = postJSON(t, s.Handler(), "/discover",
+		DiscoverRequest{Workload: "EQ", Algorithm: "parqo", QA: 7})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("algorithm parqo: status %d: %s", rec.Code, body)
+	}
+	resp = DiscoverResponse{}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Strategy != "parqo" || resp.Algorithm != "" || !resp.Completed {
+		t.Fatalf("algorithm parqo response %+v", resp)
+	}
+
+	// Both fields name the same policy, so the bodies are identical.
+	_, viaAlg := postJSON(t, s.Handler(), "/discover",
+		DiscoverRequest{Workload: "EQ", Algorithm: "sb", QA: 4})
+	_, viaStrat := postJSON(t, s.Handler(), "/discover",
+		DiscoverRequest{Workload: "EQ", Strategy: "spillbound", QA: 4})
+	if !bytes.Equal(viaAlg, viaStrat) {
+		t.Fatalf("algorithm sb and strategy spillbound bodies differ:\n%s\n%s", viaAlg, viaStrat)
+	}
+
+	// /mso resolves through the same aliases and registry: paper
+	// algorithms report their bound, heuristics a zero guarantee.
+	for _, tc := range []struct {
+		alg, want string
+		bounded   bool
+	}{
+		{"pb", "planbouquet", true},
+		{"sb", "spillbound", true},
+		{"ab", "alignedbound", true},
+		{"robustmap", "robustmap", false},
+	} {
+		rec, body = postJSON(t, s.Handler(), "/mso",
+			MSORequest{Workload: "EQ", Algorithm: tc.alg, Stride: 3})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/mso %s: status %d: %s", tc.alg, rec.Code, body)
+		}
+		var mr MSOResponse
+		if err := json.Unmarshal(body, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if mr.Algorithm != tc.want || (mr.Guarantee > 0) != tc.bounded || mr.MSO < 1 {
+			t.Fatalf("/mso %s: response %+v", tc.alg, mr)
+		}
+	}
+	rec, body = postJSON(t, s.Handler(), "/mso",
+		MSORequest{Workload: "EQ", Algorithm: "zzz", Stride: 3})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("/mso unknown: status %d: %s", rec.Code, body)
+	}
+	er = ErrorResponse{}
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Kind != KindBadRequest || !strings.Contains(er.Error, "adaptiveswitch") {
+		t.Fatalf("/mso unknown error %+v must list the registry", er)
 	}
 }
 

@@ -264,15 +264,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			compiled = art
 		}
 	}
+	var eager *ess.Space
+	if compiled != nil {
+		eager, _ = compiled.Source.(*ess.Space)
+	}
 	switch {
 	case lazy != nil:
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if err := lazy.Save(w); err != nil {
 			s.cfg.Logf("server: streaming %s lazy snapshot: %v", name, err)
 		}
-	case compiled != nil && compiled.Space != nil:
+	case eager != nil:
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := compiled.Space.Save(w); err != nil {
+		if err := eager.Save(w); err != nil {
 			s.cfg.Logf("server: streaming %s snapshot: %v", name, err)
 		}
 	default:

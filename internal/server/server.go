@@ -306,7 +306,7 @@ type Server struct {
 	peers *peerSet
 
 	// outcomes is the deterministic outcome cache (nil when disabled):
-	// full-request-keyed, storing each served outcome with its exact
+	// full-request-keyed, storing each served outcome's exact
 	// response bytes so a repeat request bypasses routing, admission,
 	// execution, and re-encoding. front is the request-identity table
 	// in front of it (see front.go): byte-identical repeats skip JSON
@@ -720,10 +720,9 @@ func PprofHandler() http.Handler {
 // ---- wire types ----
 
 // DiscoverRequest is the POST /discover body. Algorithm and Strategy
-// both select the discovery policy: Algorithm accepts the three paper
-// algorithms (with pb/sb/ab aliases), Strategy any name in the strategy
-// registry. Setting both to different policies is a 400; setting
-// neither defaults to SpillBound.
+// both select the discovery policy by strategy-registry name, or by the
+// pb/sb/ab aliases of the paper algorithms. Setting both to different
+// policies is a 400; setting neither defaults to SpillBound.
 type DiscoverRequest struct {
 	Workload string `json:"workload"`
 	// SQL identifies the workload by query text instead of (or in
@@ -1133,49 +1132,42 @@ func (s *Server) outcomeKey(ws *workloadState, strategy string, req DiscoverRequ
 	return key
 }
 
-func parseAlgorithm(s string) (core.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "planbouquet", "pb":
-		return core.PlanBouquet, nil
-	case "spillbound", "sb", "":
-		return core.SpillBound, nil
-	case "alignedbound", "ab":
-		return core.AlignedBound, nil
-	}
-	return "", fmt.Errorf("unknown algorithm %q", s)
+// policyAliases are the short wire spellings of the paper algorithms.
+var policyAliases = map[string]string{
+	"pb": core.PlanBouquet,
+	"sb": core.SpillBound,
+	"ab": core.AlignedBound,
 }
 
-// resolveStrategy maps a request's algorithm/strategy pair onto one
-// registry name. Strategy accepts any name in the strategy registry;
-// Algorithm keeps its pb/sb/ab aliases for the paper algorithms. The
-// paper algorithm names double as registry names, so both fields
-// resolve into the same namespace — and when both are set they must
-// agree, because a request naming two different policies is a
-// contradiction, not a preference order.
-func resolveStrategy(algField, stratField string) (string, error) {
-	if stratField == "" {
-		alg, err := parseAlgorithm(algField)
-		if err != nil {
-			return "", err
+// resolvePolicy maps a request's algorithm and strategy fields onto one
+// registry name. Each field accepts an alias or any registered strategy
+// name, case-insensitively; leaving both empty selects SpillBound. When
+// both are set they must agree, because a request naming two different
+// policies is a contradiction, not a preference order.
+func resolvePolicy(algField, stratField string) (string, error) {
+	resolved := ""
+	for _, field := range [2]string{algField, stratField} {
+		if field == "" {
+			continue
 		}
-		return string(alg), nil
-	}
-	st, ok := core.StrategyByName(stratField)
-	if !ok {
-		return "", fmt.Errorf("unknown strategy %q (registered: %s)",
-			stratField, strings.Join(core.StrategyNamesSorted(), ", "))
-	}
-	name := st.Name()
-	if algField != "" {
-		alg, err := parseAlgorithm(algField)
-		if err != nil {
-			return "", err
+		name := strings.ToLower(field)
+		if alias, ok := policyAliases[name]; ok {
+			name = alias
 		}
-		if string(alg) != name {
+		st, ok := core.StrategyByName(name)
+		if !ok {
+			return "", fmt.Errorf("unknown strategy %q (registered: %s)",
+				field, strings.Join(core.StrategyNamesSorted(), ", "))
+		}
+		if resolved != "" && st.Name() != resolved {
 			return "", fmt.Errorf("conflicting algorithm %q and strategy %q", algField, stratField)
 		}
+		resolved = st.Name()
 	}
-	return name, nil
+	if resolved == "" {
+		return core.SpillBound, nil
+	}
+	return resolved, nil
 }
 
 // lookup resolves the workload to a resident artifact or writes the
@@ -1260,7 +1252,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		learnBody = append([]byte(nil), body...)
 	}
 	releaseReqBuf(rb)
-	name, err := resolveStrategy(req.Algorithm, req.Strategy)
+	name, err := resolvePolicy(req.Algorithm, req.Strategy)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, KindBadRequest, err.Error(), 0)
 		return
@@ -1415,7 +1407,8 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if failover {
 		resp.Degraded = "failover"
 	}
-	if _, perr := parseAlgorithm(name); perr == nil {
+	switch name {
+	case core.PlanBouquet, core.SpillBound, core.AlignedBound:
 		// Paper strategies keep the legacy algorithm echo.
 		resp.Algorithm = name
 	}
@@ -1458,7 +1451,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if cacheable && !failover && out != nil && out.Completed && ws.epoch() == key.Epoch {
 		respBody := make([]byte, jb.buf.Len())
 		copy(respBody, jb.buf.Bytes())
-		_, admitted := s.outcomes.Put(key, &core.CachedOutcome{Outcome: out, Body: respBody})
+		_, admitted := s.outcomes.Put(key, &core.CachedOutcome{Body: respBody})
 		// Learn the request identity too — only for admitted entries
 		// (an identity nobody repeats would squat in the front table)
 		// and only unarmed: armed requests must roll their chaos sites
@@ -1504,7 +1497,7 @@ func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, KindBadRequest, "invalid JSON body: "+err.Error(), 0)
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
+	name, err := resolvePolicy(req.Algorithm, "")
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, KindBadRequest, err.Error(), 0)
 		return
@@ -1523,7 +1516,7 @@ func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.metrics.countRequest(string(alg))
+	s.metrics.countRequest(name)
 	if allowed, wait := ws.breaker.Allow(); !allowed {
 		s.writeError(w, http.StatusServiceUnavailable, KindBreakerOpen,
 			fmt.Sprintf("workload %s circuit open", req.Workload), wait)
@@ -1547,7 +1540,7 @@ func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	res, merr := mso.Sweep(c.Source, func(qa int32) (*core.Outcome, error) {
-		return c.NewRun().WithContext(ctx).Discover(alg, qa)
+		return c.NewRun().WithContext(ctx).DiscoverStrategy(name, qa)
 	}, mso.Options{Stride: req.Stride, Workers: req.Workers})
 	if aerr := discovery.AbortCause(merr); aerr != nil {
 		ws.breaker.Cancel()
@@ -1561,9 +1554,9 @@ func (s *Server) handleMSO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ws.breaker.Report(true)
-	g, _ := c.Guarantee(alg)
+	g, _ := c.StrategyGuarantee(name)
 	s.writeJSON(w, http.StatusOK, MSOResponse{
-		Workload: req.Workload, Algorithm: string(alg),
+		Workload: req.Workload, Algorithm: name,
 		MSO: res.MSO, ASO: res.ASO, ArgMax: res.ArgMax,
 		Points: len(res.Points), Guarantee: g,
 	})

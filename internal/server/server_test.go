@@ -364,7 +364,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	cfg.SnapshotDir = dir
 
 	s1 := newTestServer(t, cfg)
-	if got := s1.workloads["EQ"].compiled.Space.Grid.Res; got != cfg.Res {
+	if got := s1.workloads["EQ"].compiled.Source.Geometry().Res; got != cfg.Res {
 		t.Fatalf("first boot res %d, want %d", got, cfg.Res)
 	}
 
@@ -380,7 +380,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	if quarantined != "" {
 		t.Fatal("resolution mismatch is a config change, not corruption; no quarantine expected")
 	}
-	if got := ws.compiled.Space.Grid.Res; got != 5 {
+	if got := ws.compiled.Source.Geometry().Res; got != 5 {
 		t.Fatalf("rebuild served res %d, want 5", got)
 	}
 	// The rebuild overwrote the snapshot at the new resolution: the next
@@ -389,7 +389,7 @@ func TestSnapshotResolutionMismatchRebuilds(t *testing.T) {
 	if !s3.workloads["EQ"].warmLoaded {
 		t.Fatal("rebuilt snapshot should warm-load at the new resolution")
 	}
-	if got := s3.workloads["EQ"].compiled.Space.Grid.Res; got != 5 {
+	if got := s3.workloads["EQ"].compiled.Source.Geometry().Res; got != 5 {
 		t.Fatalf("warm-loaded res %d, want 5", got)
 	}
 }

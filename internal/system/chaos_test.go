@@ -11,6 +11,7 @@ import (
 	"repro/internal/core/discovery"
 	"repro/internal/cost"
 	"repro/internal/datagen"
+	"repro/internal/ess"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/optimizer"
@@ -59,13 +60,22 @@ func shapes(out *discovery.Outcome) []resultShape {
 	return s
 }
 
-var chaosAlgs = []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound}
+var chaosAlgs = []string{core.PlanBouquet, core.SpillBound, core.AlignedBound}
+
+func compile(t *testing.T, s *ess.Space) *core.Compiled {
+	t.Helper()
+	c, err := core.Compile(s, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // The same chaos seed must reproduce the identical fault schedule,
 // execution trace, cost ledger, and degradation record — run to run.
 func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 	s := buildRandomSpace(t, 3, 4, 2, 6)
-	sess := core.NewSession(s)
+	c := compile(t, s)
 	for _, alg := range chaosAlgs {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 7 {
 			type run struct {
@@ -76,8 +86,7 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 			var runs [2]run
 			for i := range runs {
 				in := faultinject.New(chaosConfig(2016))
-				sess.SetFaults(in)
-				out, err := sess.Discover(alg, qa)
+				out, err := c.NewRun().WithFaults(in).DiscoverStrategy(alg, qa)
 				runs[i] = run{out: out, err: err, fired: in.Fired()}
 			}
 			a, b := runs[0], runs[1]
@@ -102,7 +111,6 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 			}
 		}
 	}
-	sess.SetFaults(nil)
 }
 
 // Transient faults must be invisible in the discovery result: the trace
@@ -111,17 +119,15 @@ func TestChaosSameSeedIdenticalRuns(t *testing.T) {
 // fault-free bill — robustness is paid for, not free.
 func TestChaosTransientFaultsPreserveResults(t *testing.T) {
 	s := buildRandomSpace(t, 5, 4, 2, 6)
-	clean := core.NewSession(s)
-	chaotic := core.NewSession(s)
+	c := compile(t, s)
 	for _, alg := range chaosAlgs {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 5 {
-			want, err := clean.Discover(alg, qa)
+			want, err := c.NewRun().DiscoverStrategy(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d fault-free: %v", alg, qa, err)
 			}
 			in := faultinject.New(chaosConfig(uint64(qa)*1000 + 1))
-			chaotic.SetFaults(in)
-			got, err := chaotic.Discover(alg, qa)
+			got, err := c.NewRun().WithFaults(in).DiscoverStrategy(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d chaos: %v (faults %d)", alg, qa, err, in.Count())
 			}
@@ -153,14 +159,14 @@ func TestChaosTransientFaultsPreserveResults(t *testing.T) {
 // fallback is stamped on the Outcome, and the run still completes.
 func TestChaosAlignmentFallback(t *testing.T) {
 	s := buildRandomSpace(t, 3, 4, 2, 6)
-	sess := core.NewSession(s)
-	sess.SetFaults(faultinject.New(faultinject.Config{
+	c := compile(t, s)
+	in := faultinject.New(faultinject.Config{
 		Seed:           9,
 		Rates:          map[faultinject.Site]float64{faultinject.SiteAlignPlanner: 1},
 		PersistentFrac: 1,
-	}))
+	})
 	qa := int32(s.Grid.NumPoints() / 2)
-	out, err := sess.Discover(core.AlignedBound, qa)
+	out, err := c.NewRun().WithFaults(in).DiscoverStrategy(core.AlignedBound, qa)
 	if err != nil {
 		t.Fatalf("fallback run failed: %v", err)
 	}
@@ -177,7 +183,7 @@ func TestChaosAlignmentFallback(t *testing.T) {
 		t.Fatalf("alignment-fallback not recorded: %+v", out.Degradations)
 	}
 	// The degraded run matches plain SpillBound's trace on this instance.
-	want, err := core.NewSession(s).Discover(core.SpillBound, qa)
+	want, err := c.NewRun().DiscoverStrategy(core.SpillBound, qa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +260,9 @@ func TestChaosRealExecutorNoEscapedPanics(t *testing.T) {
 // while strictly inflating cost on runs where the latency site fired.
 func TestChaosDriftNeverChangesDecisions(t *testing.T) {
 	s := buildRandomSpace(t, 7, 4, 2, 6)
-	clean := core.NewSession(s)
-	chaotic := core.NewSession(s)
+	c := compile(t, s)
 	for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 3 {
-		want, err := clean.Discover(core.SpillBound, qa)
+		want, err := c.NewRun().DiscoverStrategy(core.SpillBound, qa)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +270,7 @@ func TestChaosDriftNeverChangesDecisions(t *testing.T) {
 			Seed:  uint64(qa) + 99,
 			Rates: map[faultinject.Site]float64{faultinject.SiteLatency: 0.5},
 		})
-		chaotic.SetFaults(in)
-		got, err := chaotic.Discover(core.SpillBound, qa)
+		got, err := c.NewRun().WithFaults(in).DiscoverStrategy(core.SpillBound, qa)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func TestDeadlineMidContourRecordsExecAbandoned(t *testing.T) {
 		var qa int32
 		var clean *discovery.Outcome
 		for qa = 0; int(qa) < s.Grid.NumPoints(); qa += 3 {
-			out, err := c.NewRun().Discover(alg, qa)
+			out, err := c.NewRun().DiscoverStrategy(alg, qa)
 			if err != nil {
 				t.Fatalf("%s qa=%d clean: %v", alg, qa, err)
 			}
@@ -77,7 +77,7 @@ func TestDeadlineMidContourRecordsExecAbandoned(t *testing.T) {
 				left:   cut,
 				cancel: cancel,
 			})
-			got, gerr := c.NewRun().WithContext(ctx).DiscoverWith(alg, eng)
+			got, gerr := c.NewRun().WithContext(ctx).DiscoverStrategyWith(alg, eng)
 			cancel()
 			if gerr == nil {
 				t.Fatalf("%s qa=%d cut=%d: expected abort, got completed run", alg, qa, cut)

@@ -15,12 +15,12 @@ import (
 // strided set of true locations, each with and without chaos. The case
 // index doubles as the deterministic fault-substream ID.
 func soakCases(s *ess.Space) []struct {
-	alg   core.Algorithm
+	alg   string
 	qa    int32
 	chaos bool
 } {
 	var cases []struct {
-		alg   core.Algorithm
+		alg   string
 		qa    int32
 		chaos bool
 	}
@@ -28,7 +28,7 @@ func soakCases(s *ess.Space) []struct {
 		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 3 {
 			for _, chaos := range []bool{false, true} {
 				cases = append(cases, struct {
-					alg   core.Algorithm
+					alg   string
 					qa    int32
 					chaos bool
 				}{alg, qa, chaos})
@@ -59,7 +59,7 @@ func TestConcurrentSoak(t *testing.T) {
 		if cases[i].chaos {
 			r = r.WithFaults(base.Fork(uint64(i)))
 		}
-		return r.Discover(cases[i].alg, cases[i].qa)
+		return r.DiscoverStrategy(cases[i].alg, cases[i].qa)
 	}
 
 	// Sequential reference phase. This also interns every plan the cases
@@ -108,61 +108,4 @@ func TestConcurrentSoak(t *testing.T) {
 	if mismatches > 0 {
 		t.Fatalf("%d of %d cases diverged under concurrency", mismatches, len(cases))
 	}
-}
-
-// TestConcurrentSoakSharedSession is the compat-wrapper variant: many
-// goroutines hammer one Session (which guards its lazy Compiled and
-// penalty ledger with a mutex) without chaos, and the MaxPenalty fold
-// must equal the maximum per-run penalty observed.
-func TestConcurrentSoakSharedSession(t *testing.T) {
-	s := buildRandomSpace(t, 13, 4, 2, 6)
-	sess := core.NewSession(s)
-	ref := core.NewSession(s)
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 64)
-	maxPen := 0.0
-	var penMu sync.Mutex
-	for _, alg := range chaosAlgs {
-		for qa := int32(0); qa < int32(s.Grid.NumPoints()); qa += 5 {
-			want, err := ref.Discover(alg, qa)
-			if err != nil {
-				t.Fatalf("%s qa=%d reference: %v", alg, qa, err)
-			}
-			penMu.Lock()
-			if want.AlignPenalty > maxPen {
-				maxPen = want.AlignPenalty
-			}
-			penMu.Unlock()
-			wg.Add(1)
-			go func(alg core.Algorithm, qa int32, want *discovery.Outcome) {
-				defer wg.Done()
-				got, err := sess.Discover(alg, qa)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					errc <- &soakDivergence{alg: alg, qa: qa}
-				}
-			}(alg, qa, want)
-		}
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	if sess.MaxPenalty() != maxPen {
-		t.Fatalf("session MaxPenalty %v, want %v", sess.MaxPenalty(), maxPen)
-	}
-}
-
-type soakDivergence struct {
-	alg core.Algorithm
-	qa  int32
-}
-
-func (d *soakDivergence) Error() string {
-	return string(d.alg) + ": concurrent Session outcome diverges from sequential"
 }

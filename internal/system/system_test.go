@@ -66,18 +66,18 @@ func TestRandomQueriesSpillBoundWithinBound(t *testing.T) {
 func TestRandomQueriesAllAlgorithmsComplete(t *testing.T) {
 	for seed := uint64(20); seed <= 26; seed++ {
 		s := buildRandomSpace(t, seed, 4+int(seed%2), 3, 5)
-		sess := core.NewSession(s)
-		for _, alg := range []core.Algorithm{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
-			res, err := sess.MSO(alg, mso.Options{Stride: 2})
+		c := compile(t, s)
+		for _, alg := range []string{core.PlanBouquet, core.SpillBound, core.AlignedBound} {
+			res, err := c.MSO(alg, mso.Options{Stride: 2})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v (%s)", seed, alg, err, s.Q)
 			}
-			g, _ := sess.Guarantee(alg)
+			g, _ := c.StrategyGuarantee(alg)
 			limit := g
 			if alg == core.AlignedBound {
 				// AB's bound holds modulo the bounded induced-alignment
 				// penalty (§5.3 / [14]); allow that slack.
-				limit = g * math.Max(1, sess.MaxPenalty())
+				limit = g * math.Max(1, res.MaxAlignPenalty)
 			}
 			if res.MSO > limit+1e-9 {
 				t.Fatalf("seed %d %s: MSOe %v > limit %v (%s)", seed, alg, res.MSO, limit, s.Q)
