@@ -9,6 +9,30 @@ import (
 
 var paperStrategies = []string{PlanBouquet, SpillBound, AlignedBound}
 
+// TestSessionGuarantees checks the paper guarantees a compiled query
+// reports: D²+3D for SpillBound, the upper end of [2D+2, D²+3D] for
+// AlignedBound, a positive bound for PlanBouquet, and none for an
+// unknown name.
+func TestSessionGuarantees(t *testing.T) {
+	s := testutil.Space2D(t, 10)
+	c, err := Compile(s, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb, ok := c.StrategyGuarantee(SpillBound); !ok || sb != 10 {
+		t.Fatalf("SB guarantee = %v, %v", sb, ok)
+	}
+	if pb, ok := c.StrategyGuarantee(PlanBouquet); !ok || pb <= 0 {
+		t.Fatalf("PB guarantee = %v, %v", pb, ok)
+	}
+	if ab, ok := c.StrategyGuarantee(AlignedBound); !ok || ab != 10 {
+		t.Fatalf("AB guarantee (upper) = %v, %v", ab, ok)
+	}
+	if _, ok := c.StrategyGuarantee("zzz"); ok {
+		t.Fatal("unknown strategy should have no guarantee")
+	}
+}
+
 func TestDiscoverPaperStrategies(t *testing.T) {
 	s := testutil.Space2D(t, 10)
 	c, err := Compile(s, CompileOptions{})
