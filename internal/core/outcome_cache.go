@@ -1,9 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"math"
-	"sync"
 
 	"repro/internal/query"
 )
@@ -52,11 +50,11 @@ type OutcomeKey struct {
 	Epoch uint64
 }
 
-// Hash folds the key into a single 64-bit cache key by extending the
-// artifact signature with the request coordinates — the same FNV-1a
-// construction query.Signature.Extend uses, so replicas derive
-// identical hashes. Collisions are guarded by full-key equality on
-// lookup, not by the hash alone.
+// Hash folds the key into 64 bits by extending the artifact signature
+// with the request coordinates — the same FNV-1a construction
+// query.Signature.Extend uses, so replicas derive identical hashes. The
+// cache itself is keyed by the full key; the hash only feeds the
+// doorkeeper, which remembers 8 bytes per offered key.
 func (k OutcomeKey) Hash() uint64 {
 	return query.Signature{Hash: k.SigHash}.
 		Extend(k.Workload, k.Strategy).
@@ -70,183 +68,54 @@ func (k OutcomeKey) Hash() uint64 {
 		).Hash
 }
 
-// CachedOutcome is one cache value: the exact JSON response bytes
-// served for a discovery, so a hit bypasses both the admission-slot
-// execution and the re-encode. Body is immutable once cached and must
-// never be mutated by readers (it is written to responses directly,
-// zero-copy).
-type CachedOutcome struct {
-	Body []byte
-}
-
-// OutcomeCache is a byte-budgeted LRU over deterministic discovery
-// outcomes, sibling of ArtifactCache. Keys are OutcomeKey hashes with
-// full-key equality verification; values are immutable CachedOutcome
-// entries. Like the artifact cache it never evicts the entry just
-// inserted, so an undersized budget degrades to single-entry reuse
-// rather than thrash.
-type OutcomeCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[uint64]*list.Element
-
-	// admit/admitPrev form the doorkeeper: a two-generation set of
-	// key hashes that have missed recently. A key is admitted into the
-	// cache only on its second miss within the doorkeeper's window, so
-	// a stream of never-repeating requests retains nothing — an
-	// all-miss workload must not trade its own GC pressure for cache
-	// entries nobody will read. Each generation holds admitGen hashes
-	// (8 bytes each); when the current one fills it becomes the
-	// previous and a fresh one starts, bounding memory while keeping
-	// recent history.
-	admit, admitPrev map[uint64]struct{}
-
-	hits, misses, evictions, inserts int64
+// NewOutcomeCache creates the byte-budgeted cache of discovery
+// outcomes: values are the exact JSON response bytes served for a
+// discovery, so a hit bypasses both the admission-slot execution and
+// the re-encode. A body is immutable once cached and must never be
+// mutated by readers (it is written to responses directly, zero-copy).
+// A non-positive budget gets a 64 MiB default — outcome entries are far
+// smaller than compiled artifacts.
+//
+// Admission goes through a doorkeeper: a two-generation set of key
+// hashes that were offered recently. A new key is admitted only on its
+// second offer within the window, so a stream of never-repeating
+// requests retains nothing — an all-miss workload must not trade its
+// own GC pressure for entries nobody will read. Each generation holds
+// admitGen 8-byte hashes, not whole keys; when the current one fills
+// it becomes the previous and a fresh one starts, bounding memory
+// while keeping recent history.
+func NewOutcomeCache(budget int64) *LRU[OutcomeKey, []byte] {
+	var prev map[uint64]struct{}
+	cur := make(map[uint64]struct{})
+	return newLRU[OutcomeKey, []byte](budget, 64<<20, func(k OutcomeKey) bool {
+		h := k.Hash()
+		if _, ok := cur[h]; ok {
+			return true
+		}
+		if _, ok := prev[h]; ok {
+			return true
+		}
+		if len(cur) >= admitGen {
+			prev, cur = cur, make(map[uint64]struct{})
+		}
+		cur[h] = struct{}{}
+		return false
+	})
 }
 
 // admitGen is the doorkeeper generation size: how many distinct missed
 // keys are remembered before the window slides.
 const admitGen = 1 << 14
 
-type outcomeEntry struct {
-	hash uint64
-	key  OutcomeKey
-	val  *CachedOutcome
-	size int64
-}
-
-// NewOutcomeCache creates a cache with the given byte budget. A
-// non-positive budget gets a 64 MiB default — outcome entries are far
-// smaller than compiled artifacts.
-func NewOutcomeCache(budget int64) *OutcomeCache {
-	if budget <= 0 {
-		budget = 64 << 20
-	}
-	return &OutcomeCache{
-		budget: budget,
-		ll:     list.New(),
-		items:  make(map[uint64]*list.Element),
-		admit:  make(map[uint64]struct{}),
-	}
-}
-
-// Get returns the cached outcome for the key, marking it most recently
-// used. A hash collision with a different full key counts as a miss —
-// determinism must never serve a wrong-key body.
-func (c *OutcomeCache) Get(key OutcomeKey) (*CachedOutcome, bool) {
-	h := key.Hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[h]
-	if !ok || el.Value.(*outcomeEntry).key != key {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*outcomeEntry).val, true
-}
-
-// Put offers the outcome under the key. A key not seen by the
-// doorkeeper yet is recorded and rejected (admitted=false) — it gets
-// in on its next miss. An admitted insert evicts least-recently-used
-// entries until the cache is back within budget (never the entry just
-// inserted); a key already resident is always replaced in place.
-func (c *OutcomeCache) Put(key OutcomeKey, val *CachedOutcome) (evicted int, admitted bool) {
-	h := key.Hash()
-	size := EstimateOutcomeBytes(val)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[h]; ok {
-		e := el.Value.(*outcomeEntry)
-		c.bytes += size - e.size
-		e.key, e.val, e.size = key, val, size
-		c.ll.MoveToFront(el)
-	} else {
-		if !c.doorkeeper(h) {
-			return 0, false
-		}
-		c.items[h] = c.ll.PushFront(&outcomeEntry{hash: h, key: key, val: val, size: size})
-		c.bytes += size
-		c.inserts++
-	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		c.remove(c.ll.Back())
-		c.evictions++
-		evicted++
-	}
-	return evicted, true
-}
-
-// doorkeeper reports whether the hash has missed recently (admit it),
-// recording it for next time when it has not. Caller holds c.mu.
-func (c *OutcomeCache) doorkeeper(h uint64) bool {
-	if _, ok := c.admit[h]; ok {
-		return true
-	}
-	if _, ok := c.admitPrev[h]; ok {
-		return true
-	}
-	if len(c.admit) >= admitGen {
-		c.admitPrev = c.admit
-		c.admit = make(map[uint64]struct{})
-	}
-	c.admit[h] = struct{}{}
-	return false
-}
-
-// Evict removes the entry for the key, reporting whether one existed.
-// The outcome.evict chaos site calls this to simulate memory pressure
-// deterministically.
-func (c *OutcomeCache) Evict(key OutcomeKey) bool {
-	h := key.Hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[h]
-	if !ok || el.Value.(*outcomeEntry).key != key {
-		return false
-	}
-	c.remove(el)
-	c.evictions++
-	return true
-}
-
-func (c *OutcomeCache) remove(el *list.Element) {
-	e := el.Value.(*outcomeEntry)
-	c.ll.Remove(el)
-	delete(c.items, e.hash)
-	c.bytes -= e.size
-}
-
-// Len returns the number of cached outcomes.
-func (c *OutcomeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats snapshots the cache counters and occupancy.
-func (c *OutcomeCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Inserts: c.inserts, Entries: c.ll.Len(),
-		Bytes: c.bytes, Budget: c.budget,
-	}
-}
-
 // EstimateOutcomeBytes approximates the resident size of a cached
-// outcome for budget accounting: the response body plus a fixed
-// per-entry overhead (entry struct, list element, map slot). Like
+// outcome body for budget accounting: the body plus a fixed per-entry
+// overhead (entry struct, list element, map slot). Like
 // EstimateArtifactBytes, only consistency and monotonicity matter, not
 // exactness.
-func EstimateOutcomeBytes(v *CachedOutcome) int64 {
-	if v == nil {
+func EstimateOutcomeBytes(body []byte) int64 {
+	if body == nil {
 		return 0
 	}
 	const fixedOverhd = 256
-	return int64(len(v.Body)) + fixedOverhd
+	return int64(len(body)) + fixedOverhd
 }

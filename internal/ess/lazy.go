@@ -324,10 +324,16 @@ func (ls *LazySpace) ContourAt(learned []int, ci int) *Contour {
 		ls.stats.hits.Add(1)
 		return v.(*Contour)
 	}
-	ls.stats.misses.Add(1)
-	ct := ls.buildContour(st, learned, ci)
-	ls.stats.contoursBuilt.Add(1)
-	actual, _ := st.contours.LoadOrStore(key, ct)
+	// Only the goroutine whose contour is stored counts a miss and a
+	// build; a racing loser counts a hit, so the counters depend on the
+	// set of lookups, not on the schedule.
+	actual, loaded := st.contours.LoadOrStore(key, ls.buildContour(st, learned, ci))
+	if loaded {
+		ls.stats.hits.Add(1)
+	} else {
+		ls.stats.misses.Add(1)
+		ls.stats.contoursBuilt.Add(1)
+	}
 	return actual.(*Contour)
 }
 
@@ -375,10 +381,8 @@ func (w *lazyWorker) position(s *Space, pt int32) {
 // ensure settles pt if it is not settled yet.
 func (ls *LazySpace) ensure(pt int32) {
 	if ls.flags[pt].Load()&flagSolved != 0 {
-		ls.stats.hits.Add(1)
 		return
 	}
-	ls.stats.misses.Add(1)
 	if ls.exactMode || ls.onLattice(pt) {
 		if err := ls.solveExact(pt); err != nil {
 			panic(err)

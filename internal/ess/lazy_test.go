@@ -235,4 +235,12 @@ func TestLazyConcurrentSettle(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
+	// The memo counters are schedule independent: exactly one build
+	// (and miss) per contour, every other lookup a hit, point settles
+	// not mixed in.
+	prof, nc := par.Profile(), int64(par.NumContours())
+	if prof.ContoursBuilt != nc || prof.Misses != nc || prof.Hits != (workers-1)*nc {
+		t.Fatalf("contour memo counters: built=%d misses=%d hits=%d, want %d, %d, %d",
+			prof.ContoursBuilt, prof.Misses, prof.Hits, nc, nc, (workers-1)*nc)
+	}
 }

@@ -306,7 +306,7 @@ func Load(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model) (*S
 // was built with; invariants (name, dimensionality, plan validity,
 // recosted costs) are verified per opt and violations reported.
 func LoadWith(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model, opt LoadOptions) (*Space, error) {
-	payload, err := readFrame(r)
+	payload, err := readFrame(r, snapshotMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -333,41 +333,50 @@ func LoadFile(path string, q *query.Query, baseEnv *cost.Env, model *cost.Model,
 // reject a truncated or corrupt peer transfer before attempting the
 // (much more expensive) strict load.
 func VerifyFrame(r io.Reader) error {
-	_, err := readFrame(r)
+	_, err := readFrame(r, snapshotMagic)
 	return err
 }
 
-// readFrame verifies the snapshot header and returns the CRC-checked
-// payload bytes.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame with the given magic — a snapshot base
+// frame or a delta record — and returns its CRC-checked payload. A
+// stream that ends cleanly before a delta header returns io.EOF, the end
+// of the delta log; every other defect wraps ErrCorrupt or ErrVersion.
+func readFrame(r io.Reader, magic string) ([]byte, error) {
+	kind := "snapshot"
+	if magic == deltaMagic {
+		kind = "delta"
+	}
 	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+		if err == io.EOF && magic == deltaMagic {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w: reading %s header: %v", ErrCorrupt, kind, err)
 	}
-	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if string(hdr[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad %s magic", ErrCorrupt, kind)
 	}
-	off := len(snapshotMagic)
+	off := len(magic)
 	version := binary.LittleEndian.Uint32(hdr[off:])
 	length := binary.LittleEndian.Uint64(hdr[off+4:])
 	sum := binary.LittleEndian.Uint32(hdr[off+12:])
 	if version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot is v%d, this build reads v%d", ErrVersion, version, SnapshotVersion)
+		return nil, fmt.Errorf("%w: %s is v%d, this build reads v%d", ErrVersion, kind, version, SnapshotVersion)
 	}
 	if length > maxSnapshotBytes {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, length)
+		return nil, fmt.Errorf("%w: %s length %d exceeds limit", ErrCorrupt, kind, length)
 	}
 	// ReadAll grows incrementally, so a lying length field cannot force
 	// a huge up-front allocation.
 	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: reading %s payload: %v", ErrCorrupt, kind, err)
 	}
 	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrCorrupt, len(payload), length)
+		return nil, fmt.Errorf("%w: %s truncated (%d of %d bytes)", ErrCorrupt, kind, len(payload), length)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: %s CRC mismatch", ErrCorrupt, kind)
 	}
 	return payload, nil
 }
@@ -701,7 +710,7 @@ func LoadLazy(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model,
 // path as the dense loader. Integrity violations — including a torn
 // delta tail from a crashed append — return errors wrapping ErrCorrupt.
 func LoadLazyWith(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Model, cfg Config, opt LoadOptions) (*LazySpace, error) {
-	payload, err := readFrame(r)
+	payload, err := readFrame(r, snapshotMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -714,7 +723,7 @@ func LoadLazyWith(r io.Reader, q *query.Query, baseEnv *cost.Env, model *cost.Mo
 		return nil, err
 	}
 	for {
-		dp, err := readDeltaFrame(r)
+		dp, err := readFrame(r, deltaMagic)
 		if err == io.EOF {
 			break
 		}
@@ -832,42 +841,6 @@ func lazyFromDTO(dto *spaceDTO, q *query.Query, baseEnv *cost.Env, model *cost.M
 		}
 	}
 	return ls, nil
-}
-
-// readDeltaFrame reads one framed delta record, returning io.EOF at a
-// clean end of stream and an ErrCorrupt-wrapped error for a torn tail.
-func readDeltaFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: reading delta header: %v", ErrCorrupt, err)
-	}
-	if string(hdr[:len(deltaMagic)]) != deltaMagic {
-		return nil, fmt.Errorf("%w: bad delta magic", ErrCorrupt)
-	}
-	off := len(deltaMagic)
-	version := binary.LittleEndian.Uint32(hdr[off:])
-	length := binary.LittleEndian.Uint64(hdr[off+4:])
-	sum := binary.LittleEndian.Uint32(hdr[off+12:])
-	if version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: delta is v%d, this build reads v%d", ErrVersion, version, SnapshotVersion)
-	}
-	if length > maxSnapshotBytes {
-		return nil, fmt.Errorf("%w: delta length %d exceeds limit", ErrCorrupt, length)
-	}
-	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading delta payload: %v", ErrCorrupt, err)
-	}
-	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("%w: delta truncated (%d of %d bytes)", ErrCorrupt, len(payload), length)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: delta CRC mismatch", ErrCorrupt)
-	}
-	return payload, nil
 }
 
 // applyDeltaPayload decodes one delta record and installs its values,

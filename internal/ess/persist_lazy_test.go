@@ -2,8 +2,10 @@ package ess
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -137,42 +139,84 @@ func TestLazySnapshotDeltaAppend(t *testing.T) {
 	}
 }
 
+// TestLazyDeltaTornTailIsCorrupt appends one defective delta record to
+// a good base frame per case. The loader must reject the whole snapshot
+// (quarantine), never skip the bad record, and an untampered append of
+// the same delta must load.
 func TestLazyDeltaTornTailIsCorrupt(t *testing.T) {
 	ls := buildLazyFrom(t, 8, Config{Exact: true})
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lazy.snap")
+	path := filepath.Join(t.TempDir(), "lazy.snap")
 	mark := make(map[int32]bool)
-	if err := ls.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
 	ls.DeltaSince(mark)
 	ls.ContourAt(nil, 0)
 	d := ls.DeltaSince(mark)
 	if d == nil {
 		t.Fatal("no delta to append")
 	}
-
-	in := faultinject.New(faultinject.Config{
-		Seed:  11,
-		Rates: map[faultinject.Site]float64{faultinject.SiteSnapshotSave: 1},
-	})
-	if err := ls.AppendDeltaFileWith(path, d, in); err == nil {
-		t.Fatal("fault-injected append must fail")
-	}
-	// The torn tail is on disk (append is deliberately non-atomic) and
-	// the loader must quarantine the whole snapshot, not skip the tail.
-	if _, err := LoadLazyFile(path, ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn delta tail: got %v, want ErrCorrupt", err)
-	}
-
-	// A clean retry of the same delta after rewriting the base recovers.
-	if err := ls.SaveFile(path); err != nil {
+	var frame bytes.Buffer
+	if err := ls.AppendDelta(&frame, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLazyFile(path, ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
-		Config{Exact: true}, LoadOptions{Strict: true}); err != nil {
-		t.Fatalf("rebuilt snapshot does not load: %v", err)
+	// appendTampered appends the delta frame after tamper edits a copy.
+	appendTampered := func(t *testing.T, tamper func(raw []byte)) {
+		raw := bytes.Clone(frame.Bytes())
+		tamper(raw)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		append func(t *testing.T)
+		want   error
+	}{
+		{"torn-tail", func(t *testing.T) {
+			// The torn tail stays on disk: append is deliberately
+			// non-atomic.
+			in := faultinject.New(faultinject.Config{
+				Seed:  11,
+				Rates: map[faultinject.Site]float64{faultinject.SiteSnapshotSave: 1},
+			})
+			if err := ls.AppendDeltaFileWith(path, d, in); err == nil {
+				t.Fatal("fault-injected append must fail")
+			}
+		}, ErrCorrupt},
+		{"flipped-payload-byte", func(t *testing.T) {
+			appendTampered(t, func(raw []byte) { raw[len(raw)-1] ^= 0x40 })
+		}, ErrCorrupt},
+		{"stale-version", func(t *testing.T) {
+			appendTampered(t, func(raw []byte) {
+				binary.LittleEndian.PutUint32(raw[len(deltaMagic):], SnapshotVersion-1)
+			})
+		}, ErrVersion},
+		{"bad-magic", func(t *testing.T) {
+			appendTampered(t, func(raw []byte) { raw[0] ^= 0xff })
+		}, ErrCorrupt},
+		{"clean", func(t *testing.T) {
+			if err := ls.AppendDeltaFile(path, d); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := ls.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			tc.append(t)
+			_, err := LoadLazyFile(path, ls.Query(), ls.inner.BaseEnv, ls.inner.Model,
+				Config{Exact: true}, LoadOptions{Strict: true})
+			if tc.want == nil && err != nil {
+				t.Fatalf("untampered delta does not load: %v", err)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -261,7 +305,7 @@ func TestDenseStrictLoadFastPathIsSigned(t *testing.T) {
 // decodeFramePayload decodes the base frame's DTO out of raw snapshot
 // bytes (test helper for signature assertions).
 func decodeFramePayload(raw []byte, dto *spaceDTO) error {
-	payload, err := readFrame(bytes.NewReader(raw))
+	payload, err := readFrame(bytes.NewReader(raw), snapshotMagic)
 	if err != nil {
 		return err
 	}

@@ -98,8 +98,9 @@ type BuildProfile struct {
 	Repairs, RepairRounds int
 	// ContoursBuilt counts contours materialized on demand (lazy only).
 	ContoursBuilt int64
-	// Hits and Misses count settled-point cache hits and misses on the
-	// point accessors (lazy only).
+	// Hits and Misses count contour-memo lookups: a miss stores a newly
+	// built contour, a hit finds one already stored (lazy only). Point
+	// settles are counted by Settled.
 	Hits, Misses int64
 	// Refinements counts applied refinement rounds and RefinedPoints the
 	// points whose value an exact re-solve actually changed (lazy only).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -280,5 +281,21 @@ func TestOutcomeCacheMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(page2, "rqp_encode_errors_total") {
 		t.Fatal("rqp_encode_errors_total must be unconditional")
+	}
+}
+
+// A NaN fault rate (say, -chaos-rate NaN) resolves to disarmed: the
+// outcome cache is a map keyed by the full OutcomeKey, and a NaN field
+// would never equal itself, so its entries could be neither hit nor
+// deleted.
+func TestRequestFaultRateNaNIsDisarmed(t *testing.T) {
+	s := &Server{cfg: Config{FaultRate: math.NaN(), AllowRequestFaults: true}}
+	for _, req := range []DiscoverRequest{{}, {FaultRate: math.NaN()}} {
+		if r := s.requestFaultRate(req); r != 0 {
+			t.Fatalf("requestFaultRate(%+v) = %v, want 0", req, r)
+		}
+		if s.requestInjector(req) != nil {
+			t.Fatalf("request %+v armed an injector", req)
+		}
 	}
 }

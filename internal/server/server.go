@@ -294,7 +294,7 @@ type Server struct {
 	// cache holds on-demand artifacts keyed by signature; flights
 	// coalesces concurrent compiles of one signature; compiles counts
 	// completed compiles per workload name (string → *atomic.Int64).
-	cache    *core.ArtifactCache
+	cache    *core.LRU[uint64, *core.Compiled]
 	flights  *flightGroup
 	compiles sync.Map
 	// sigIdx maps pure-SQL signature hashes to registered spec names,
@@ -312,7 +312,7 @@ type Server struct {
 	// in front of it (see front.go): byte-identical repeats skip JSON
 	// decoding and key derivation too. encodeErrSeen tracks which
 	// encode error kinds have been logged (once per kind).
-	outcomes      *core.OutcomeCache
+	outcomes      *core.LRU[core.OutcomeKey, []byte]
 	front         frontTable
 	encodeErrSeen sync.Map
 
@@ -1104,6 +1104,9 @@ func (s *Server) requestFaultRate(req DiscoverRequest) float64 {
 	if req.FaultRate > 0 && (s.faults != nil || s.cfg.AllowRequestFaults) {
 		rate = req.FaultRate
 	}
+	if !(rate > 0) {
+		return 0 // also maps NaN to disarmed: a NaN key never equals itself
+	}
 	return rate
 }
 
@@ -1225,9 +1228,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		if e := s.front.get(body); e != nil {
 			key := e.key
 			key.Epoch = e.ws.epoch()
-			if c, hit := s.outcomes.Get(key); hit {
+			if b, hit := s.outcomes.Get(key); hit {
 				s.metrics.countRequest(e.strategy)
-				s.writeBytes(w, http.StatusOK, c.Body)
+				s.writeBytes(w, http.StatusOK, b)
 				releaseReqBuf(rb)
 				return
 			}
@@ -1290,9 +1293,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 				s.metrics.outcomeChaosEvicts.Add(1)
 			}
 		}
-		if e, hit := s.outcomes.Get(key); hit {
+		if b, hit := s.outcomes.Get(key); hit {
 			s.metrics.countRequest(name)
-			s.writeBytes(w, http.StatusOK, e.Body)
+			s.writeBytes(w, http.StatusOK, b)
 			return
 		}
 	}
@@ -1307,7 +1310,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if cacheable && !ws.isLazy() && in == nil {
 		kf := key
 		cacheForwarded = func(respBody []byte) {
-			if _, admitted := s.outcomes.Put(kf, &core.CachedOutcome{Body: respBody}); admitted && learnBody != nil {
+			if _, admitted := s.outcomes.Put(kf, respBody, core.EstimateOutcomeBytes(respBody)); admitted && learnBody != nil {
 				s.front.put(&frontEntry{body: learnBody, ws: ws, strategy: name, key: kf})
 			}
 		}
@@ -1451,7 +1454,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if cacheable && !failover && out != nil && out.Completed && ws.epoch() == key.Epoch {
 		respBody := make([]byte, jb.buf.Len())
 		copy(respBody, jb.buf.Bytes())
-		_, admitted := s.outcomes.Put(key, &core.CachedOutcome{Body: respBody})
+		_, admitted := s.outcomes.Put(key, respBody, core.EstimateOutcomeBytes(respBody))
 		// Learn the request identity too — only for admitted entries
 		// (an identity nobody repeats would squat in the front table)
 		// and only unarmed: armed requests must roll their chaos sites

@@ -19,7 +19,7 @@ import (
 // This file is the multi-tenant arm of the server: workloads beyond
 // the pinned -workloads set are admitted on demand, their artifacts
 // compiled at most once per signature (the flightGroup coalesces the
-// herd) and held in the byte-budgeted signature-keyed ArtifactCache.
+// herd) and held in the byte-budgeted signature-keyed artifact cache.
 // Pinned workloads keep their eager build-at-startup lifecycle and are
 // never evicted; on-demand tenants live and die by cache pressure.
 
