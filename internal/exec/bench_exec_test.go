@@ -95,6 +95,35 @@ func BenchmarkIndexNL(b *testing.B) {
 	benchRun(b, q, f.store, p, 0)
 }
 
+// join3SQL joins the star's fact to dim, then dim's d_attr to a second
+// dim: the intermediate join's output feeds the root join's key, so —
+// unlike the 2-relation benchmarks, whose only join is the count-only
+// root — these runs materialize intermediate rows.
+const join3SQL = `SELECT * FROM fact f, dim d, dim d2
+	WHERE f.f_dim = d.d_id AND d.d_attr = d2.d_id`
+
+func BenchmarkHashJoin3Way(b *testing.B) {
+	f := newBenchFixture(b)
+	q := f.parse(b, join3SQL)
+	p := plan.NewJoin(plan.HashJoin, []int{1},
+		plan.NewJoin(plan.HashJoin, []int{0},
+			plan.NewScan(q.RelIndex("f"), plan.SeqScan),
+			plan.NewScan(q.RelIndex("d"), plan.SeqScan)),
+		plan.NewScan(q.RelIndex("d2"), plan.SeqScan))
+	benchRun(b, q, f.store, p, 0)
+}
+
+func BenchmarkIndexNL3Way(b *testing.B) {
+	f := newBenchFixture(b)
+	q := f.parse(b, join3SQL)
+	p := plan.NewJoin(plan.IndexNLJoin, []int{1},
+		plan.NewJoin(plan.IndexNLJoin, []int{0},
+			plan.NewScan(q.RelIndex("f"), plan.SeqScan),
+			plan.NewScan(q.RelIndex("d"), plan.SeqScan)),
+		plan.NewScan(q.RelIndex("d2"), plan.SeqScan))
+	benchRun(b, q, f.store, p, 0)
+}
+
 func BenchmarkBudgetKill(b *testing.B) {
 	f := newBenchFixture(b)
 	q := f.parse(b, `SELECT * FROM fact f, dim d WHERE f.f_dim = d.d_id`)

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // The differential suite pins the tentpole guarantee of the vectorized
@@ -22,11 +25,20 @@ import (
 // at a different row count, which no consumer observes (discovery reads
 // only Cost/Completed/JoinSel).
 
-// diffCase is one (query, plan) pair the matrices run.
+// diffCase is one (query, plan) pair the matrices run, over the
+// fixture's store unless the case brings its own data.
 type diffCase struct {
 	name string
 	q    *query.Query
 	p    *plan.Node
+	data *storage.Store
+}
+
+func (c diffCase) store(f *fixture) *storage.Store {
+	if c.data != nil {
+		return c.data
+	}
+	return f.store
 }
 
 func diffCases(t *testing.T, f *fixture) []diffCase {
@@ -83,7 +95,210 @@ func diffCases(t *testing.T, f *fixture) []diffCase {
 				plan.NewScan(0, plan.SeqScan),
 				plan.NewScan(1, plan.SeqScan))})
 	}
-	return cases
+	return append(cases, projectionCases(t, f)...)
+}
+
+// projectionCases are multi-join plans whose intermediate joins carry
+// only the columns their ancestors read: build sides and residual keys
+// that arrive through an intermediate join, every join method as an
+// intermediate input, and an index-NL inner whose projected column
+// holds a NULL (no null-free vector, so the join reads rows).
+func projectionCases(t *testing.T, f *fixture) []diffCase {
+	t.Helper()
+	scan := func(q *query.Query, alias string) *plan.Node {
+		return plan.NewScan(q.RelIndex(alias), plan.SeqScan)
+	}
+	join := plan.NewJoin
+	q3 := f.parse(t, `SELECT * FROM fact ff, dim d, dim2 e
+		WHERE ff.f_dim = d.d_id AND ff.f_dim2 = e.e_id`)
+	fd := func(m plan.JoinMethod) *plan.Node { return join(m, []int{0}, scan(q3, "ff"), scan(q3, "d")) }
+	cases := []diffCase{
+		{name: "rightdeep/hash-hash", q: q3, p: join(plan.HashJoin, []int{1}, scan(q3, "e"), fd(plan.HashJoin))},
+		{name: "rightdeep/hash-nl", q: q3, p: join(plan.HashJoin, []int{1}, scan(q3, "e"), fd(plan.NLJoin))},
+		{name: "intermediate/nl-hash", q: q3, p: join(plan.HashJoin, []int{1}, fd(plan.NLJoin), scan(q3, "e"))},
+		{name: "intermediate/merge-inl", q: q3, p: join(plan.IndexNLJoin, []int{1}, fd(plan.MergeJoin), scan(q3, "e"))},
+		{name: "intermediate/inl-nl", q: q3, p: join(plan.NLJoin, []int{1}, fd(plan.IndexNLJoin), scan(q3, "e"))},
+	}
+
+	// A residual between d and e: d.d_attr reaches the top join only
+	// through the intermediate ff ⋈ d.
+	qRes := &query.Query{
+		Name: "resid3",
+		Cat:  f.cat,
+		Relations: []query.Relation{
+			{Table: "fact", Alias: "ff"},
+			{Table: "dim", Alias: "d"},
+			{Table: "dim2", Alias: "e"},
+		},
+		Joins: []query.Join{
+			{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "f_dim", RightCol: "d_id"},
+			{ID: 1, LeftRel: 0, RightRel: 2, LeftCol: "f_dim2", RightCol: "e_id"},
+			{ID: 2, LeftRel: 1, RightRel: 2, LeftCol: "d_attr", RightCol: "e_attr"},
+		},
+	}
+	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NLJoin, plan.IndexNLJoin} {
+		cases = append(cases, diffCase{name: "residual3/" + m.String(), q: qRes,
+			p: join(m, []int{1, 2}, join(plan.HashJoin, []int{0}, scan(qRes, "ff"), scan(qRes, "d")), scan(qRes, "e"))})
+	}
+
+	q4 := f.parse(t, `SELECT * FROM fact ff, dim d, dim2 e, dim d2
+		WHERE ff.f_dim = d.d_id AND ff.f_dim2 = e.e_id AND d.d_attr = d2.d_id`)
+	cases = append(cases,
+		diffCase{name: "4rel/hash-inl-hash", q: q4, p: join(plan.HashJoin, []int{2},
+			join(plan.IndexNLJoin, []int{1}, join(plan.HashJoin, []int{0}, scan(q4, "ff"), scan(q4, "d")), scan(q4, "e")),
+			scan(q4, "d2"))},
+		diffCase{name: "4rel/inl-hash-merge", q: q4, p: join(plan.MergeJoin, []int{2},
+			join(plan.HashJoin, []int{1}, join(plan.IndexNLJoin, []int{0}, scan(q4, "ff"), scan(q4, "d")), scan(q4, "e")),
+			scan(q4, "d2"))},
+	)
+
+	// e.e_attr holds a NULL: the intermediate index-NL join projects it
+	// (the parent's key), the hash join's payload carries it, and the
+	// 2-relation index-NL join reads it as a residual key.
+	nulls := f.nullStore(t)
+	qn := f.parse(t, `SELECT * FROM fact ff, dim2 e, dim d
+		WHERE ff.f_dim2 = e.e_id AND e.e_attr = d.d_id`)
+	qnRes := &query.Query{
+		Name: "null-resid",
+		Cat:  f.cat,
+		Relations: []query.Relation{
+			{Table: "fact", Alias: "ff"},
+			{Table: "dim2", Alias: "e"},
+		},
+		Joins: []query.Join{
+			{ID: 0, LeftRel: 0, RightRel: 1, LeftCol: "f_dim2", RightCol: "e_id"},
+			{ID: 1, LeftRel: 0, RightRel: 1, LeftCol: "f_val", RightCol: "e_attr"},
+		},
+	}
+	return append(cases,
+		diffCase{name: "null/inl-hash", q: qn, data: nulls, p: join(plan.HashJoin, []int{1},
+			join(plan.IndexNLJoin, []int{0}, scan(qn, "ff"), scan(qn, "e")), scan(qn, "d"))},
+		diffCase{name: "null/hash-hash", q: qn, data: nulls, p: join(plan.HashJoin, []int{1},
+			join(plan.HashJoin, []int{0}, scan(qn, "ff"), scan(qn, "e")), scan(qn, "d"))},
+		diffCase{name: "null/inl-residual", q: qnRes, data: nulls,
+			p: join(plan.IndexNLJoin, []int{0, 1}, scan(qnRes, "ff"), scan(qnRes, "e"))},
+	)
+}
+
+// nullStore returns the fixture's store with dim2.e_attr set to NULL on
+// one row (its column vector then has a NULL, so no reader may take it
+// as a null-free int vector).
+func (f *fixture) nullStore(t *testing.T) *storage.Store {
+	t.Helper()
+	src := f.store.MustRelation("dim2")
+	rel := storage.NewRelation(src.Name, src.Cols)
+	attr := rel.ColumnIndex("e_attr")
+	for i, row := range src.Rows {
+		row = append(expr.Row(nil), row...)
+		if i == 0 { // e_id 1, the most frequent FKZipf key
+			row[attr] = expr.Null
+		}
+		rel.Append(row)
+	}
+	rel.BuildColumns()
+	rel.BuildHashIndex(0)
+	if c := rel.Col(attr); c == nil || !c.HasNulls() {
+		t.Fatal("nullStore: e_attr vector should record the NULL")
+	}
+	s := storage.NewStore()
+	for _, name := range f.store.Names() {
+		if name != rel.Name {
+			s.Add(f.store.Relation(name))
+		}
+	}
+	s.Add(rel)
+	return s
+}
+
+// TestJoinOutputProjection pins projection pushdown: each join's output
+// arena is exactly as wide as the number of its columns that ancestor
+// joins' predicates reference (keys and residuals), and the root, which
+// nothing reads, is count-only. It also pins when index-NL joins read
+// their inner columnar: always in batched mode over this NULL-free
+// fixture, never when a projected inner column holds a NULL, and never
+// in lockstep.
+func TestJoinOutputProjection(t *testing.T) {
+	f := newFixture(t)
+	for _, c := range diffCases(t, f) {
+		if c.p.IsScan() {
+			continue
+		}
+		for _, lockstep := range []bool{false, true} {
+			e := New(c.q, c.store(f), cost.DefaultParams())
+			if lockstep {
+				e.WithFaults(faultinject.New(faultinject.Config{Seed: 1}))
+			}
+			op, _, err := e.buildVec(c.p, nil, &Meter{}, &Result{}, DefaultBatchSize)
+			if err != nil {
+				t.Fatalf("%s: build: %v", c.name, err)
+			}
+			wantColumnar := !lockstep && !strings.HasPrefix(c.name, "null/")
+			checkProjection(t, c, c.p, op, nil, wantColumnar)
+			if !lockstep {
+				markDiscardRoot(op)
+				if out, _, _ := joinParts(op); !out.discard {
+					t.Fatalf("%s: root join is not count-only", c.name)
+				}
+			}
+		}
+	}
+}
+
+// colRef is one (relation, column) a join predicate reads.
+type colRef struct {
+	rel int
+	col string
+}
+
+// checkProjection checks the join at n against above, the columns the
+// predicates of n's ancestors read.
+func checkProjection(t *testing.T, c diffCase, n *plan.Node, op batchOperator, above map[colRef]bool, wantColumnar bool) {
+	t.Helper()
+	if n.IsScan() {
+		return
+	}
+	want := 0
+	for ref := range above {
+		if n.Rels&(1<<ref.rel) != 0 {
+			want++
+		}
+	}
+	out, left, right := joinParts(op)
+	if got := len(out.lproj) + len(out.rproj); got != want {
+		t.Fatalf("%s: join %v arena width %d, want %d (ancestors read %v)", c.name, n.Join.JoinIDs, got, want, above)
+	}
+	if inl, ok := op.(*vecIndexNLJoin); ok && inl.columnar != wantColumnar {
+		t.Fatalf("%s: index-NL join %v columnar = %v, want %v", c.name, n.Join.JoinIDs, inl.columnar, wantColumnar)
+	}
+	next := map[colRef]bool{}
+	for ref := range above {
+		next[ref] = true
+	}
+	for _, id := range n.Join.JoinIDs {
+		j := c.q.Joins[id]
+		next[colRef{j.LeftRel, j.LeftCol}] = true
+		next[colRef{j.RightRel, j.RightCol}] = true
+	}
+	checkProjection(t, c, n.Left, left, next, wantColumnar)
+	if right != nil {
+		checkProjection(t, c, n.Right, right, next, wantColumnar)
+	}
+}
+
+// joinParts returns a join operator's output arena and children (right
+// is nil for index-NL joins, whose inner is not an operator).
+func joinParts(op batchOperator) (*outBuf, batchOperator, batchOperator) {
+	switch o := op.(type) {
+	case *vecHashJoin:
+		return o.out, o.left, o.right
+	case *vecMergeJoin:
+		return o.out, o.left, o.right
+	case *vecNLJoin:
+		return o.out, o.left, o.right
+	case *vecIndexNLJoin:
+		return o.out, o.left, nil
+	}
+	panic(fmt.Sprintf("joinParts: %T is not a join", op))
 }
 
 // runEngines executes the case on both engines with independent (but
@@ -96,7 +311,7 @@ type engineRun struct {
 
 func runEngine(f *fixture, c diffCase, vectorized bool, batch int, budget float64,
 	mkFaults func() *faultinject.Injector, spillJoin int) engineRun {
-	e := New(c.q, f.store, cost.DefaultParams()).Vectorized(vectorized)
+	e := New(c.q, c.store(f), cost.DefaultParams()).Vectorized(vectorized)
 	if batch > 0 {
 		e.WithBatchSize(batch)
 	}
@@ -218,23 +433,37 @@ func TestDifferentialSpill(t *testing.T) {
 		plan.NewScan(q3.RelIndex("d"), plan.SeqScan))
 	root := plan.NewJoin(plan.MergeJoin, []int{1}, inner,
 		plan.NewScan(q3.RelIndex("e"), plan.SeqScan))
-	c := diffCase{name: "3rel-spill", q: q3, p: root}
-	for _, joinID := range []int{0, 1} {
-		full := runEngine(f, c, false, 0, 0, nil, joinID)
-		if full.err != nil {
-			t.Fatalf("join %d: unbudgeted spill failed: %v", joinID, full.err)
-		}
-		if len(full.res.JoinSel) == 0 {
-			t.Fatalf("join %d: spill run observed no selectivity", joinID)
-		}
-		for _, frac := range []float64{0, 0.1, 0.5, 0.9} {
-			budget := frac * full.res.Cost
-			tag := fmt.Sprintf("spill join=%d budget=%.1f", joinID, frac)
-			tup := runEngine(f, c, false, 0, budget, nil, joinID)
-			vec := runEngine(f, c, true, 0, budget, nil, joinID)
-			compareRuns(t, tag, tup, vec, tup.res != nil && tup.res.Completed)
+	cases := append([]diffCase{{name: "3rel-spill", q: q3, p: root}}, projectionCases(t, f)...)
+	for _, c := range cases {
+		for _, joinID := range spillJoins(c.p) {
+			full := runEngine(f, c, false, 0, 0, nil, joinID)
+			if full.err != nil {
+				t.Fatalf("%s join %d: unbudgeted spill failed: %v", c.name, joinID, full.err)
+			}
+			if len(full.res.JoinSel) == 0 {
+				t.Fatalf("%s join %d: spill run observed no selectivity", c.name, joinID)
+			}
+			for _, frac := range []float64{0, 0.1, 0.5, 0.9} {
+				budget := frac * full.res.Cost
+				tag := fmt.Sprintf("%s spill join=%d budget=%.1f", c.name, joinID, frac)
+				tup := runEngine(f, c, false, 0, budget, nil, joinID)
+				vec := runEngine(f, c, true, 0, budget, nil, joinID)
+				compareRuns(t, tag, tup, vec, tup.res != nil && tup.res.Completed)
+			}
 		}
 	}
+}
+
+// spillJoins returns one join ID per join node of the plan: spilling
+// on it runs that node's subtree.
+func spillJoins(p *plan.Node) []int {
+	var ids []int
+	p.Walk(func(n *plan.Node) {
+		if !n.IsScan() {
+			ids = append(ids, n.Join.JoinIDs[0])
+		}
+	})
+	return ids
 }
 
 // TestDifferentialChaos replays seed-driven fault schedules through
@@ -277,6 +506,36 @@ func TestDifferentialChaos(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReusedExecutorReplaysChaos pins that an executor's pooled buffers
+// carry no state between runs: after an unarmed run at the default
+// batch size, an armed run must replay exactly what a fresh executor
+// armed with the same schedule does (lockstep needs capacity-1 arenas,
+// whatever the pool holds).
+func TestReusedExecutorReplaysChaos(t *testing.T) {
+	f := newFixture(t)
+	rates := map[faultinject.Site]float64{
+		faultinject.SiteScanTuple:     0.05,
+		faultinject.SiteOperatorPanic: 0.02,
+		faultinject.SiteLatency:       0.10,
+	}
+	for _, c := range diffCases(t, f) {
+		for seed := uint64(1); seed <= 4; seed++ {
+			mk := func() *faultinject.Injector {
+				return faultinject.New(faultinject.Config{Seed: seed, Rates: rates, PersistentFrac: 0.5})
+			}
+			tag := fmt.Sprintf("%s/seed=%d", c.name, seed)
+			fresh := runEngine(f, c, true, 0, 0, mk, -1)
+			e := New(c.q, c.store(f), cost.DefaultParams())
+			if _, err := e.Run(c.p, 0); err != nil {
+				t.Fatalf("%s: unarmed run: %v", tag, err)
+			}
+			in := mk()
+			res, err := e.WithFaults(in).Run(c.p, 0)
+			compareRuns(t, tag, fresh, engineRun{res: res, err: err, log: in.Fired()}, true)
 		}
 	}
 }

@@ -32,19 +32,25 @@ type gracePart struct {
 	slots []int32
 	tails []int32
 	mask  uint64
-	// Entry arrays, parallel: key, next same-key entry (-1 ends the
-	// chain), and the build row.
-	keys []int64
-	next []int32
-	rows []expr.Row
+	// Entry arrays, parallel: key and next same-key entry (-1 ends the
+	// chain). vals is the payload slab: entry e's projected build-row
+	// values are vals[e*width : (e+1)*width].
+	keys  []int64
+	next  []int32
+	vals  []expr.Value
+	width int
 }
 
 // hashKey is Fibonacci hashing; the multiplier spreads consecutive ints
 // across both the top (partition) and low (slot) bits.
 func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
 
-func newGraceTable(hint int) *graceTable {
-	t := &graceTable{}
+// reset empties the table for a build of about hint entries of width
+// payload values each. Arrays large enough are kept, so a table
+// recycled through bufPool builds without allocating; only the slot
+// directory is cleared (tails and the entry arrays are only read
+// behind a set slot or a chain link, both rewritten before use).
+func (t *graceTable) reset(hint, width int) {
 	per := hint / graceParts
 	for i := range t.parts {
 		p := &t.parts[i]
@@ -52,29 +58,43 @@ func newGraceTable(hint int) *graceTable {
 		for n < 2*per {
 			n <<= 1
 		}
-		p.slots = make([]int32, n)
-		p.tails = make([]int32, n)
+		if cap(p.slots) >= n {
+			p.slots = p.slots[:n]
+			clear(p.slots)
+			p.tails = p.tails[:n]
+		} else {
+			p.slots = make([]int32, n)
+			p.tails = make([]int32, n)
+		}
 		p.mask = uint64(n - 1)
-		p.keys = make([]int64, 0, per)
-		p.next = make([]int32, 0, per)
-		p.rows = make([]expr.Row, 0, per)
+		if cap(p.keys) < per {
+			p.keys = make([]int64, 0, per)
+			p.next = make([]int32, 0, per)
+		}
+		if cap(p.vals) < per*width {
+			p.vals = make([]expr.Value, 0, per*width)
+		}
+		p.keys, p.next, p.vals = p.keys[:0], p.next[:0], p.vals[:0]
+		p.width = width
 	}
-	return t
 }
 
-func (t *graceTable) insert(k int64, row expr.Row) {
+// insert adds key k with the payload columns of row.
+func (t *graceTable) insert(k int64, row expr.Row, payload []int) {
 	h := hashKey(k)
-	t.parts[h>>(64-gracePartBits)].insert(h, k, row)
+	t.parts[h>>(64-gracePartBits)].insert(h, k, row, payload)
 }
 
-func (p *gracePart) insert(h uint64, k int64, row expr.Row) {
+func (p *gracePart) insert(h uint64, k int64, row expr.Row, payload []int) {
 	if 2*(len(p.keys)+1) > len(p.slots) {
 		p.grow()
 	}
 	e := int32(len(p.keys))
 	p.keys = append(p.keys, k)
 	p.next = append(p.next, -1)
-	p.rows = append(p.rows, row)
+	for _, c := range payload {
+		p.vals = append(p.vals, row[c])
+	}
 	s := h & p.mask
 	for {
 		head := p.slots[s]
@@ -113,6 +133,12 @@ func (p *gracePart) grow() {
 	}
 }
 
+// row returns entry e's payload values.
+func (p *gracePart) row(e int32) expr.Row {
+	s := int(e) * p.width
+	return p.vals[s : s+p.width : s+p.width]
+}
+
 // lookup returns the partition and first entry index of the key's
 // chain, or entry -1 when the key is absent.
 func (t *graceTable) lookup(k int64) (*gracePart, int32) {
@@ -139,10 +165,7 @@ func buildKeyCol(b *rowBatch, pos int) *storage.Column {
 	if b.rel == nil {
 		return nil
 	}
-	if c := b.rel.Col(pos); c != nil && c.Kind == expr.KindInt && !c.HasNulls() {
-		return c
-	}
-	return nil
+	return cleanIntCol(b.rel, pos)
 }
 
 // vecHashJoin builds on the right child and probes with the left, batch
@@ -151,19 +174,31 @@ func buildKeyCol(b *rowBatch, pos int) *storage.Column {
 // and bill as one ChargeN per emitted arena (flushed at take / EOF).
 // At capacity 1 (lockstep) the arena holds one row, so the flush
 // degenerates to the tuple engine's exact per-row charge order.
+//
+// The build copies only each row's payload columns (see payloadCols)
+// into the table's value slab, so unstable build rows need no clone and
+// the probe reads matches from the slab instead of chasing storage
+// rows; jc's residual right positions index the payload.
 type vecHashJoin struct {
 	vecJoinBase
 	hint                       int
+	payload                    []int
 	clsBuild, clsProbe, clsOut int
 	out                        *outBuf
 	table                      *graceTable
 	pb                         *rowBatch
 	pi                         int
-	cur                        expr.Row
-	mp                         *gracePart
-	me                         int32
-	outPending                 int64
-	done                       bool
+	// pkc is the probe batch's columnar key vector (nil when the batch
+	// has none). With it and lcols, the vectors of the projected left
+	// columns (see scanCols), a probe row read off a scan is never
+	// dereferenced unless a residual needs it.
+	pkc        *storage.Column
+	lcols      []*storage.Column
+	cur        probeRow
+	mp         *gracePart
+	me         int32
+	outPending int64
+	done       bool
 }
 
 func (h *vecHashJoin) Open() error {
@@ -173,7 +208,9 @@ func (h *vecHashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	h.table = newGraceTable(h.hint)
+	if h.table == nil {
+		h.table = h.e.pool.getTable(h.hint, len(h.payload))
+	}
 	kpos := h.jc.rightPos[0]
 	for {
 		b, err := h.right.NextBatch()
@@ -190,15 +227,14 @@ func (h *vecHashJoin) Open() error {
 		h.obs.RightRows += int64(n)
 		if kc := buildKeyCol(b, kpos); kc != nil {
 			// Columnar build: keys come straight off the typed vector at
-			// the batch's absolute offsets; scan batches are stable, so
-			// rows are referenced without cloning.
+			// the batch's absolute offsets.
 			if b.sel == nil {
 				for i := 0; i < n; i++ {
-					h.table.insert(kc.Ints[b.off+i], b.base[i])
+					h.table.insert(kc.Ints[b.off+i], b.base[i], h.payload)
 				}
 			} else {
 				for _, s := range b.sel {
-					h.table.insert(kc.Ints[b.off+int(s)], b.base[s])
+					h.table.insert(kc.Ints[b.off+int(s)], b.base[s], h.payload)
 				}
 			}
 			continue
@@ -209,10 +245,7 @@ func (h *vecHashJoin) Open() error {
 			if k.IsNull() {
 				continue
 			}
-			if !b.stable {
-				row = cloneRow(row)
-			}
-			h.table.insert(k.I, row)
+			h.table.insert(k.I, row, h.payload)
 		}
 	}
 	h.pb, h.pi = nil, 0
@@ -264,12 +297,12 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 		// Drain the current probe row's pending matches into the arena.
 		gathered := int64(0)
 		for h.me >= 0 && !h.out.full() {
-			r := h.mp.rows[h.me]
+			r := h.mp.row(h.me)
 			h.me = h.mp.next[h.me]
-			if !h.jc.residualsMatch(h.cur, r) {
+			if !h.jc.residualsMatch(h.cur.row, r) {
 				continue
 			}
-			h.out.emit(h.cur, r)
+			h.cur.emit(h.out, r)
 			gathered++
 		}
 		if gathered > 0 {
@@ -304,36 +337,39 @@ func (h *vecHashJoin) NextBatch() (*rowBatch, error) {
 			}
 			h.obs.LeftRows += int64(b.n())
 			h.pb, h.pi = b, 0
+			h.pkc = buildKeyCol(b, h.jc.leftPos[0])
+			h.cur.cols = nil
+			if b.rel != nil {
+				h.cur.cols = h.lcols
+			}
 			// Count-only fast probe: when the root arena discards rows and
 			// the join has no residual predicates, matches only need to be
 			// counted — the whole probe batch runs as one tight loop over
 			// the columnar key vector with no row fetches or emits.
-			if h.out.discard && len(h.jc.ids) == 1 {
-				if kc := buildKeyCol(b, h.jc.leftPos[0]); kc != nil {
-					m := h.fastProbe(b, kc)
-					h.outPending += m
-					h.obs.OutRows += m
-					h.out.count += int(m)
-					h.pi = b.n()
-					if h.out.full() {
-						if err := h.flushOut(); err != nil {
-							return nil, err
-						}
-						return h.out.take(), nil
+			if h.out.discard && len(h.jc.ids) == 1 && h.pkc != nil {
+				m := h.fastProbe(b, h.pkc)
+				h.outPending += m
+				h.obs.OutRows += m
+				h.out.count += int(m)
+				h.pi = b.n()
+				if h.out.full() {
+					if err := h.flushOut(); err != nil {
+						return nil, err
 					}
-					continue
+					return h.out.take(), nil
 				}
+				continue
 			}
 		}
-		row := h.pb.row(h.pi)
+		h.cur.row, h.cur.ord = h.pb.row(h.pi), h.pb.off+h.pb.ord(h.pi)
 		h.pi++
-		k := row[h.jc.leftPos[0]]
-		if k.IsNull() {
+		if h.pkc != nil {
+			h.mp, h.me = h.table.lookup(h.pkc.Ints[h.cur.ord])
+		} else if k := h.cur.row[h.jc.leftPos[0]]; !k.IsNull() {
+			h.mp, h.me = h.table.lookup(k.I)
+		} else {
 			h.mp, h.me = nil, -1
-			continue
 		}
-		h.cur = row
-		h.mp, h.me = h.table.lookup(k.I)
 	}
 }
 
@@ -344,6 +380,10 @@ func (h *vecHashJoin) Close() error {
 		return err
 	}
 	if h.right != nil {
+		// A morsel-worker clone shares the build table (right == nil
+		// marks the clone); only the owner recycles it.
+		h.e.pool.putTable(h.table)
+		h.table = nil
 		return h.right.Close()
 	}
 	return nil

@@ -29,6 +29,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/expr"
 )
 
 // meterShared coordinates one budget across per-worker meters. Workers
@@ -177,9 +179,10 @@ func morselScanOf(op batchOperator) *vecSeqScan {
 // cloneChain clones the root pipeline for one worker: probe state and
 // output arenas are fresh, the blocking structures built at Open (hash
 // tables, materialized inners) and all read-only compilation products
-// (join cols, filters, kernels) are shared, and every meter reference
-// points at the worker's lane. A clone's right child is nil — Close
-// knows not to double-close or recycle shared state.
+// (join cols, filters, kernels, output projections, payload layouts,
+// inner column vectors) are shared, and every meter reference points at
+// the worker's lane. A clone's right child is nil — Close knows not to
+// double-close or recycle shared state.
 func cloneChain(op batchOperator, wm *Meter) batchOperator {
 	switch o := op.(type) {
 	case *vecSeqScan:
@@ -193,43 +196,54 @@ func cloneChain(op batchOperator, wm *Meter) batchOperator {
 		}
 		return &c
 	case *vecHashJoin:
-		c := &vecHashJoin{
+		return &vecHashJoin{
 			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
+			payload:     o.payload,
 			clsBuild:    o.clsBuild,
 			clsProbe:    o.clsProbe,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         cloneOut(o.e, o.out),
+			lcols:       o.lcols,
 			table:       o.table,
 			me:          -1,
 		}
-		c.out.discard = o.out.discard
-		return c
 	case *vecNLJoin:
-		c := &vecNLJoin{
+		return &vecNLJoin{
 			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
 			clsMat:      o.clsMat,
 			clsPair:     o.clsPair,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         cloneOut(o.e, o.out),
 			inner:       o.inner,
 		}
-		c.out.discard = o.out.discard
-		return c
 	case *vecIndexNLJoin:
 		c := &vecIndexNLJoin{
 			vecJoinBase: vecJoinBase{e: o.e, meter: wm, jc: o.jc, left: cloneChain(o.left, wm)},
 			rel:         o.rel,
 			filters:     o.filters,
+			kernels:     o.kernels,
 			clsDescend:  o.clsDescend,
 			clsFetch:    o.clsFetch,
 			clsOut:      o.clsOut,
-			out:         o.e.pool.getOut(o.out.width, o.out.cap),
+			out:         cloneOut(o.e, o.out),
+			lcols:       o.lcols,
+			columnar:    o.columnar,
+			cols:        o.cols,
 		}
-		c.out.discard = o.out.discard
+		if c.columnar {
+			c.scratch = make(expr.Row, len(c.cols))
+		}
 		return c
 	default:
 		panic("exec: cloneChain on non-pipeline operator")
 	}
+}
+
+// cloneOut returns a fresh arena with the same projection and mode.
+func cloneOut(e *Executor, o *outBuf) *outBuf {
+	c := e.pool.getOut(o.lproj, o.rproj, o.cap)
+	c.discard = o.discard
+	return c
 }
 
 // chainBase returns the pipeline-chain join base of an operator, or nil

@@ -23,7 +23,7 @@ import (
 // runWorkers is runEngine for the vectorized engine at a worker count.
 func runWorkers(f *fixture, c diffCase, workers, batch int, budget float64,
 	mkFaults func() *faultinject.Injector, spillJoin int) engineRun {
-	e := New(c.q, f.store, cost.DefaultParams()).WithWorkers(workers)
+	e := New(c.q, c.store(f), cost.DefaultParams()).WithWorkers(workers)
 	if batch > 0 {
 		e.WithBatchSize(batch)
 	}
@@ -81,22 +81,24 @@ func TestDifferentialWorkerSpill(t *testing.T) {
 		plan.NewScan(q3.RelIndex("d"), plan.SeqScan))
 	root := plan.NewJoin(plan.HashJoin, []int{1}, inner,
 		plan.NewScan(q3.RelIndex("e"), plan.SeqScan))
-	c := diffCase{name: "3rel-worker-spill", q: q3, p: root}
-	for _, joinID := range []int{0, 1} {
-		full := runWorkers(f, c, 1, 0, 0, nil, joinID)
-		if full.err != nil {
-			t.Fatalf("join %d: unbudgeted spill failed: %v", joinID, full.err)
-		}
-		if len(full.res.JoinSel) == 0 {
-			t.Fatalf("join %d: spill run observed no selectivity", joinID)
-		}
-		for _, workers := range []int{2, 8} {
-			for _, frac := range []float64{0, 0.4, 0.9} {
-				budget := frac * full.res.Cost
-				tag := fmt.Sprintf("spill join=%d workers=%d budget=%.1f", joinID, workers, frac)
-				seq := runWorkers(f, c, 1, 0, budget, nil, joinID)
-				par := runWorkers(f, c, workers, 0, budget, nil, joinID)
-				compareRuns(t, tag, seq, par, seq.res != nil && seq.res.Completed)
+	cases := append([]diffCase{{name: "3rel-worker-spill", q: q3, p: root}}, projectionCases(t, f)...)
+	for _, c := range cases {
+		for _, joinID := range spillJoins(c.p) {
+			full := runWorkers(f, c, 1, 0, 0, nil, joinID)
+			if full.err != nil {
+				t.Fatalf("%s join %d: unbudgeted spill failed: %v", c.name, joinID, full.err)
+			}
+			if len(full.res.JoinSel) == 0 {
+				t.Fatalf("%s join %d: spill run observed no selectivity", c.name, joinID)
+			}
+			for _, workers := range []int{2, 8} {
+				for _, frac := range []float64{0, 0.4, 0.9} {
+					budget := frac * full.res.Cost
+					tag := fmt.Sprintf("%s spill join=%d workers=%d budget=%.1f", c.name, joinID, workers, frac)
+					seq := runWorkers(f, c, 1, 0, budget, nil, joinID)
+					par := runWorkers(f, c, workers, 0, budget, nil, joinID)
+					compareRuns(t, tag, seq, par, seq.res != nil && seq.res.Completed)
+				}
 			}
 		}
 	}
@@ -222,7 +224,7 @@ func TestMorselEligibility(t *testing.T) {
 	for name, want := range map[string]bool{
 		"hash": true, "inl": true, "nl": true, "merge": false, "hash-indexscan": false,
 	} {
-		op, _, err := e.buildVec(plans[name], meter, res, DefaultBatchSize)
+		op, _, err := e.buildVec(plans[name], nil, meter, res, DefaultBatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}

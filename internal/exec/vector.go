@@ -24,17 +24,19 @@ const DefaultBatchSize = 1024
 // stable marks that the referenced rows stay valid after further
 // NextBatch calls on the producer (true for scans, whose rows alias the
 // immutable storage arrays; false for join outputs, which live in a
-// reused arena). Consumers that retain rows across batches (hash build,
-// sort, NL materialization) must clone unstable rows.
+// reused arena). Consumers that retain rows across batches (sort, NL
+// materialization) must clone unstable rows; the hash build copies the
+// payload columns it keeps instead.
 type rowBatch struct {
 	base   []expr.Row
 	sel    []int32
 	stable bool
 
 	// rel/off identify columnar scan batches: base aliases
-	// rel.Rows[off : off+len(base)], so consumers that only need one
-	// column (hash-join key fetch) can read rel's typed vectors at
-	// absolute ordinal off+i instead of chasing row pointers.
+	// rel.Rows[off : off+len(base)], so consumers that need only some
+	// columns (join keys, a join's projected outer columns) can read
+	// rel's typed vectors at absolute ordinal off+i instead of chasing
+	// row pointers.
 	rel *storage.Relation
 	off int
 
@@ -63,20 +65,33 @@ func (b *rowBatch) row(i int) expr.Row {
 	return b.base[i]
 }
 
+// ord returns the base ordinal of the i-th selected row.
+func (b *rowBatch) ord(i int) int {
+	if b.sel != nil {
+		return int(b.sel[i])
+	}
+	return i
+}
+
 // cloneRow copies a row out of an unstable batch.
 func cloneRow(r expr.Row) expr.Row { return append(expr.Row(nil), r...) }
 
-// outBuf is a join operator's reusable output arena: concatenated
-// output rows are appended into one flat value slab, so a batch of
-// joined rows costs two slice appends per row instead of one allocation
-// each. The arena is recycled on every NextBatch call, which is why
-// batches built from it are unstable.
+// outBuf is a join operator's reusable output arena: each output row is
+// gathered into one flat value slab, so a batch of joined rows costs no
+// per-row allocation. The arena is recycled on every NextBatch call,
+// which is why batches built from it are unstable.
+//
+// Output rows are late-materialized: lproj and rproj list the positions
+// of the left and right input rows that operators above the join read
+// (their join and residual keys — see buildVecNode), and emit copies
+// only those, so an intermediate join carries a few key columns instead
+// of every column of every relation below it.
 type outBuf struct {
-	width int
-	cap   int
-	vals  []expr.Value
-	rows  []expr.Row
-	b     rowBatch
+	lproj, rproj []int
+	cap          int
+	vals         []expr.Value
+	rows         []expr.Row
+	b            rowBatch
 
 	// discard turns the arena into a pure counter: the plan root's rows
 	// are never read (the drive loop only counts them — §3.1 discards
@@ -88,10 +103,9 @@ type outBuf struct {
 
 func newOutBuf(width, cap int) *outBuf {
 	return &outBuf{
-		width: width,
-		cap:   cap,
-		vals:  make([]expr.Value, 0, width*cap),
-		rows:  make([]expr.Row, 0, cap),
+		cap:  cap,
+		vals: make([]expr.Value, 0, width*cap),
+		rows: make([]expr.Row, 0, cap),
 	}
 }
 
@@ -101,16 +115,91 @@ func (o *outBuf) reset() {
 	o.count = 0
 }
 
-// emit appends the concatenation of l and r as one output row.
+// emit appends the projection of l and r as one output row.
 func (o *outBuf) emit(l, r expr.Row) {
 	if o.discard {
 		o.count++
 		return
 	}
 	s := len(o.vals)
-	o.vals = append(o.vals, l...)
-	o.vals = append(o.vals, r...)
+	for _, p := range o.lproj {
+		o.vals = append(o.vals, l[p])
+	}
+	for _, p := range o.rproj {
+		o.vals = append(o.vals, r[p])
+	}
 	o.rows = append(o.rows, o.vals[s:len(o.vals):len(o.vals)])
+}
+
+// emitCols is emit with the left values read off lcols — the vectors
+// of the lproj columns — at ordinal ord instead of from a row.
+func (o *outBuf) emitCols(lcols []*storage.Column, ord int, r expr.Row) {
+	if o.discard {
+		o.count++
+		return
+	}
+	s := len(o.vals)
+	for _, c := range lcols {
+		o.vals = append(o.vals, expr.Int(c.Ints[ord]))
+	}
+	for _, p := range o.rproj {
+		o.vals = append(o.vals, r[p])
+	}
+	o.rows = append(o.rows, o.vals[s:len(o.vals):len(o.vals)])
+}
+
+// cleanIntCol returns rel's vector for column pos when it is a
+// null-free int vector — one whose values rebuild the rows' exactly as
+// expr.Int — and nil otherwise.
+func cleanIntCol(rel *storage.Relation, pos int) *storage.Column {
+	if c := rel.Col(pos); c != nil && c.Kind == expr.KindInt && !c.HasNulls() {
+		return c
+	}
+	return nil
+}
+
+// cleanIntCols is cleanIntCol over several columns; false when any has
+// no clean vector.
+func cleanIntCols(rel *storage.Relation, pos []int) ([]*storage.Column, bool) {
+	cols := make([]*storage.Column, len(pos))
+	for i, p := range pos {
+		if cols[i] = cleanIntCol(rel, p); cols[i] == nil {
+			return nil, false
+		}
+	}
+	return cols, true
+}
+
+// scanCols returns the vectors of the lproj columns of a join's outer
+// input when it is a sequential scan and they are all null-free int
+// vectors, nil otherwise.
+func scanCols(outer batchOperator, lproj []int) []*storage.Column {
+	s, ok := outer.(*vecSeqScan)
+	if !ok || len(lproj) == 0 {
+		return nil
+	}
+	cols, _ := cleanIntCols(s.rel, lproj)
+	return cols
+}
+
+// probeRow is a pipeline join's current outer row and its ordinal in
+// the outer scan's relation. cols is set while the outer batch is a
+// columnar scan batch: it holds the vectors of the join's projected
+// left columns (see scanCols), so emitting reads the contiguous vectors
+// and never dereferences the storage row.
+type probeRow struct {
+	row  expr.Row
+	ord  int
+	cols []*storage.Column
+}
+
+// emit appends the joined row of the current outer row and r.
+func (p *probeRow) emit(o *outBuf, r expr.Row) {
+	if p.cols != nil {
+		o.emitCols(p.cols, p.ord, r)
+		return
+	}
+	o.emit(p.row, r)
 }
 
 func (o *outBuf) full() bool { return o.len() >= o.cap }
@@ -139,10 +228,11 @@ func (o *outBuf) take() *rowBatch {
 // query, never concurrently contended on the sequential path, and the
 // typed slices avoid interface boxing on every get/put.
 type bufPool struct {
-	mu   sync.Mutex
-	sels [][]int32
-	outs []*outBuf
-	rows [][]expr.Row
+	mu     sync.Mutex
+	sels   [][]int32
+	outs   []*outBuf
+	rows   [][]expr.Row
+	tables []*graceTable
 }
 
 func (p *bufPool) getSel(capacity int) []int32 {
@@ -170,20 +260,29 @@ func (p *bufPool) putSel(s []int32) {
 	p.mu.Unlock()
 }
 
-func (p *bufPool) getOut(width, capacity int) *outBuf {
+// getOut returns an empty output arena projecting lproj/rproj.
+func (p *bufPool) getOut(lproj, rproj []int, capacity int) *outBuf {
+	width := len(lproj) + len(rproj)
 	p.mu.Lock()
 	for i := len(p.outs) - 1; i >= 0; i-- {
 		o := p.outs[i]
-		if o.width == width && o.cap >= capacity {
+		if cap(o.vals) >= width*capacity && cap(o.rows) >= capacity {
 			p.outs = append(p.outs[:i], p.outs[i+1:]...)
 			p.mu.Unlock()
 			o.reset()
+			// A recycled arena may be larger than asked for; it must still
+			// fill at capacity (1 in lockstep) or the batch boundaries, and
+			// with them the fault-check steps, would shift.
+			o.cap = capacity
+			o.lproj, o.rproj = lproj, rproj
 			o.discard = false
 			return o
 		}
 	}
 	p.mu.Unlock()
-	return newOutBuf(width, capacity)
+	o := newOutBuf(width, capacity)
+	o.lproj, o.rproj = lproj, rproj
+	return o
 }
 
 func (p *bufPool) putOut(o *outBuf) {
@@ -194,6 +293,35 @@ func (p *bufPool) putOut(o *outBuf) {
 	p.mu.Lock()
 	if len(p.outs) < 64 {
 		p.outs = append(p.outs, o)
+	}
+	p.mu.Unlock()
+}
+
+// getTable returns an empty hash-join build table sized for hint
+// entries of width payload values, recycling a pooled one when any is
+// free (see graceTable.reset).
+func (p *bufPool) getTable(hint, width int) *graceTable {
+	p.mu.Lock()
+	if n := len(p.tables); n > 0 {
+		t := p.tables[n-1]
+		p.tables = p.tables[:n-1]
+		p.mu.Unlock()
+		t.reset(hint, width)
+		return t
+	}
+	p.mu.Unlock()
+	t := &graceTable{}
+	t.reset(hint, width)
+	return t
+}
+
+func (p *bufPool) putTable(t *graceTable) {
+	if t == nil {
+		return
+	}
+	p.mu.Lock()
+	if len(p.tables) < 64 {
+		p.tables = append(p.tables, t)
 	}
 	p.mu.Unlock()
 }
@@ -282,7 +410,7 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 	if e.faults != nil {
 		capacity = 1 // lockstep: replay tuple-exact fault sequences
 	}
-	op, _, err := e.buildVec(root, meter, res, capacity)
+	op, _, err := e.buildVec(root, nil, meter, res, capacity)
 	if err != nil {
 		res.Cost = meter.Used + meter.Drifted
 		res.Drift = meter.Drifted
@@ -342,11 +470,91 @@ func (e *Executor) driveVec(ctx context.Context, root *plan.Node, budget float64
 // mirror build exactly: same fault-check sites, same degradation notes,
 // and — critically — the same meter class registration order, so the
 // metered total is the same function of tuple counts in both engines.
-func (e *Executor) buildVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
+//
+// need lists the qualified columns ("alias.column") the operators above
+// n read — the join and residual keys of every ancestor join — and a
+// join's output carries only those of its columns (projection
+// pushdown). Nothing reads the root's output (the drive loop only
+// counts it), so the root is built with need == nil. Scans keep
+// emitting whole storage rows: they alias the immutable row arrays, so
+// projecting them would copy where today nothing is copied.
+func (e *Executor) buildVec(n *plan.Node, need []string, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
 	if n.IsScan() {
 		return e.buildScanVec(n, meter, res, capacity)
 	}
-	return e.buildJoinVec(n, meter, res, capacity)
+	return e.buildJoinVec(n, need, meter, res, capacity)
+}
+
+// joinColNames returns the qualified columns both sides of the join's
+// predicates read.
+func (e *Executor) joinColNames(n *plan.Node) []string {
+	var names []string
+	for _, id := range n.Join.JoinIDs {
+		j := e.q.Joins[id]
+		names = append(names,
+			e.q.Relations[j.LeftRel].Alias+"."+j.LeftCol,
+			e.q.Relations[j.RightRel].Alias+"."+j.RightCol)
+	}
+	return names
+}
+
+// project returns the positions of the schema's columns named in need,
+// in schema order.
+func (s *schema) project(need []string) []int {
+	var pos []int
+	for i, c := range s.cols {
+		for _, nc := range need {
+			if c == nc {
+				pos = append(pos, i)
+				break
+			}
+		}
+	}
+	return pos
+}
+
+// projectedSchema is the output schema of a join emitting lproj of ls
+// then rproj of rs.
+func projectedSchema(ls, rs *schema, lproj, rproj []int) *schema {
+	out := &schema{cols: make([]string, 0, len(lproj)+len(rproj))}
+	for _, p := range lproj {
+		out.cols = append(out.cols, ls.cols[p])
+	}
+	for _, p := range rproj {
+		out.cols = append(out.cols, rs.cols[p])
+	}
+	return out
+}
+
+// payloadCols lays out the right-side values a join keeps per inner
+// row: the projected output columns first (so an output row's right
+// half is the payload's prefix), then any residual-key column not
+// already among them. It returns the layout, the output positions
+// within it (0..len(rproj)), and a copy of jc whose residual right
+// positions index the payload; rightPos[0], the physical key, keeps its
+// input-row position.
+func payloadCols(jc *joinCols, rproj []int) (cols, out []int, pjc *joinCols) {
+	cols = append([]int(nil), rproj...)
+	out = make([]int, len(rproj))
+	for i := range out {
+		out[i] = i
+	}
+	pjc = &joinCols{ids: jc.ids, leftPos: jc.leftPos, rightPos: append([]int(nil), jc.rightPos...)}
+	for k := 1; k < len(jc.ids); k++ {
+		at := -1
+		for i, c := range cols {
+			if c == jc.rightPos[k] {
+				at = i
+				break
+			}
+		}
+		if at < 0 {
+			at = len(cols)
+			cols = append(cols, jc.rightPos[k])
+		}
+		pjc.rightPos[k] = at
+	}
+	return cols, out, pjc
 }
 
 func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
@@ -401,14 +609,18 @@ func (e *Executor) buildScanVec(n *plan.Node, meter *Meter, res *Result, capacit
 	}
 }
 
-func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
-	lop, ls, err := e.buildVec(n.Left, meter, res, capacity)
+func (e *Executor) buildJoinVec(n *plan.Node, need []string, meter *Meter, res *Result, capacity int) (batchOperator, *schema, error) {
+	// Children must carry this join's keys on top of what is needed
+	// above it. The full slice expression keeps siblings from sharing
+	// appends.
+	childNeed := append(need[:len(need):len(need)], e.joinColNames(n)...)
+	lop, ls, err := e.buildVec(n.Left, childNeed, meter, res, capacity)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch n.Join.Method {
 	case plan.HashJoin, plan.MergeJoin, plan.NLJoin:
-		rop, rs, err := e.buildVec(n.Right, meter, res, capacity)
+		rop, rs, err := e.buildVec(n.Right, childNeed, meter, res, capacity)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -416,25 +628,29 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 		if err != nil {
 			return nil, nil, err
 		}
-		sch := concatSchema(ls, rs)
+		lproj, rproj := ls.project(need), rs.project(need)
+		sch := projectedSchema(ls, rs, lproj, rproj)
 		base := vecJoinBase{e: e, meter: meter, jc: jc, left: lop, right: rop}
-		out := e.pool.getOut(len(sch.cols), capacity)
 		switch n.Join.Method {
 		case plan.HashJoin:
+			payload, out, pjc := payloadCols(jc, rproj)
+			base.jc = pjc
 			return &vecHashJoin{
 				vecJoinBase: base,
 				hint:        e.cardHint(n.Right),
+				payload:     payload,
 				clsBuild:    meter.Class(e.params.HashBuild),
 				clsProbe:    meter.Class(e.params.HashProbe),
 				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
+				out:         e.pool.getOut(lproj, out, capacity),
+				lcols:       scanCols(lop, lproj),
 			}, sch, nil
 		case plan.MergeJoin:
 			return &vecMergeJoin{
 				vecJoinBase: base,
 				clsMerge:    meter.Class(e.params.Merge),
 				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
+				out:         e.pool.getOut(lproj, rproj, capacity),
 			}, sch, nil
 		default:
 			return &vecNLJoin{
@@ -442,7 +658,7 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 				clsMat:      meter.Class(e.params.Mat),
 				clsPair:     meter.Class(e.params.NLPair),
 				clsOut:      meter.Class(e.params.Tuple),
-				out:         out,
+				out:         e.pool.getOut(lproj, rproj, capacity),
 			}, sch, nil
 		}
 	case plan.IndexNLJoin:
@@ -461,17 +677,25 @@ func (e *Executor) buildJoinVec(n *plan.Node, meter *Meter, res *Result, capacit
 			return nil, nil, fmt.Errorf("exec: no hash index on %s column %d for INL join",
 				relation.Name, innerCol)
 		}
-		sch := concatSchema(ls, rs)
-		return &vecIndexNLJoin{
+		lproj, rproj := ls.project(need), rs.project(need)
+		sch := projectedSchema(ls, rs, lproj, rproj)
+		filters := e.compileFilters(rel, -1)
+		j := &vecIndexNLJoin{
 			vecJoinBase: vecJoinBase{e: e, meter: meter, jc: jc, left: lop},
 			rel:         relation,
-			filters:     e.compileFilters(rel, -1),
+			filters:     filters,
+			kernels:     compileKernels(relation, filters),
 			clsDescend:  meter.Class(e.params.IdxDescend * log2g(float64(relation.NumRows()))),
 			clsFetch:    meter.Class(e.params.IdxTuple),
 			clsOut:      meter.Class(e.params.Tuple),
-			out:         e.pool.getOut(len(sch.cols), capacity),
+			lcols:       scanCols(lop, lproj),
 			ls:          e.faults != nil,
-		}, sch, nil
+		}
+		if !j.ls {
+			rproj = j.columnarInner(rproj)
+		}
+		j.out = e.pool.getOut(lproj, rproj, capacity)
+		return j, sch, nil
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown join method")
 	}

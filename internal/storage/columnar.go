@@ -1,11 +1,13 @@
 // Columnar projections of the row store. Each relation can carry typed
 // column vectors — contiguous []int64 / []float64 values, or
 // dictionary-encoded strings — built once at load time alongside the
-// row view. The vectorized executor's predicate kernels and join builds
-// read these directly instead of chasing expr.Row pointers; everything
-// else (tuple engine, index probes, emission) keeps using the rows, so
-// the two views must stay in sync: Append invalidates the vectors (see
-// storage.go) and BuildColumns rebuilds them.
+// row view. The vectorized executor reads these directly instead of
+// chasing expr.Row pointers: predicate kernels, hash-join build and
+// probe keys, join emission of a scanned row's projected columns, and
+// index-NL inner reads all use a column whenever it is a null-free int
+// vector. The tuple engine, the index structures, and every other read
+// use the rows, so the two views must stay in sync: Append invalidates
+// the vectors (see storage.go) and BuildColumns rebuilds them.
 package storage
 
 import (
